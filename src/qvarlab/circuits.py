@@ -132,8 +132,12 @@ def _sum_generator_eig(name: str, n: int):
     return es.values, es.vectors
 
 
-def gate_matrix(gate: Gate, params: np.ndarray, n: int) -> np.ndarray:
-    """Local matrix of a gate (2x2, 4x4, or full-dimension for sum gates)."""
+def gate_matrix(gate: Gate, params: np.ndarray) -> np.ndarray:
+    """Local 2x2 or 4x4 matrix of a one- or two-qubit gate.
+
+    Sum gates have no local matrix; _apply_gate runs them through their
+    cached eigenbasis.
+    """
     angles = [float(params[s]) for s in gate.slots]
     name = gate.name
     if name in ("rx", "rz", "rzz", "rxx", "ryy"):
@@ -155,11 +159,7 @@ def gate_matrix(gate: Gate, params: np.ndarray, n: int) -> np.ndarray:
         out = np.eye(4, dtype=complex)
         out[2:, 2:] = _u3_matrix(*angles)
         return out
-    if name in ("sumx", "sumz", "sumzxz"):
-        vals, vecs = _sum_generator_eig(name, n)
-        phases = np.exp(-1j * angles[0] * vals)
-        return (vecs * phases) @ vecs.conj().T
-    raise ValueError(f"unknown gate {name!r}")
+    raise ValueError(f"gate {name!r} has no local matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n:
 def _apply_gate(batch: np.ndarray, gate: Gate, theta: np.ndarray, n: int) -> np.ndarray:
     """One gate applied to a tensor-shaped batch (B, 2, ..., 2)."""
     if gate.qubits:
-        mat = gate_matrix(gate, theta, n)
+        mat = gate_matrix(gate, theta)
         return _apply_local(batch, mat, gate.qubits, n)
     # sum gates act through their cached eigenbasis, never through a dense matrix
     vals, vecs = _sum_generator_eig(gate.name, n)
@@ -214,7 +214,7 @@ def apply_circuit(
     batch = batch.reshape([nb] + [2] * circuit.n)
     for gate in circuit.gates[start:]:
         batch = _apply_gate(batch, gate, theta, circuit.n)
-    out = batch.reshape(nb, -1)
+    out = batch.reshape(nb, 2**circuit.n)
     return out[0] if single else out
 
 
@@ -293,12 +293,12 @@ def _conv_block(a: int, b: int, base: int) -> list[Gate]:
     ]
 
 
-def qcnn(n: int, ring_convolutions: bool = True) -> Circuit:
+def qcnn(n: int) -> Circuit:
     """Convolution/pooling hierarchy that halves the active register per level.
 
     Every level lays one shared 15-slot convolution block on each neighboring
-    pair of active qubits (plus the closing first-to-last pair when
-    ring_convolutions is set), then pools disjoint pairs with a shared 3-slot
+    pair of active qubits (plus the closing last-to-first pair once more than
+    two are active), then pools disjoint pairs with a shared 3-slot
     controlled-u3. The lower-index qubit of a pooled pair acts as control and
     drops out; the higher-index survivor stays active, so survivors collect at
     the measured (least significant) end of the register.
@@ -311,7 +311,7 @@ def qcnn(n: int, ring_convolutions: bool = True) -> Circuit:
     while len(active) >= 2:
         k = len(active)
         pairs = [(active[i], active[i + 1]) for i in range(k - 1)]
-        if ring_convolutions and k > 2:
+        if k > 2:
             pairs.append((active[-1], active[0]))
         for a, b in pairs:
             gates.extend(_conv_block(a, b, base))

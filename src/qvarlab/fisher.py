@@ -227,8 +227,10 @@ def bound_chain(
     Grid points must be interior to the family range by at least the FD step.
     A slope |d<M>/d alpha| below 1e-10 leaves the adjusted variance undefined
     (reported as inf with a zero-slope flag). Ordering violations beyond
-    chain_tol raise a ChainViolationError, or mark the report's flag when
-    on_violation="flag".
+    chain_tol raise a ChainViolationError, and a diverging classical Fisher
+    information raises the ValueError of cfi. With on_violation="flag" both
+    mark the report's flag instead; a divergent point reports inv_cfi = 0.0
+    under a cfi-divergent flag and skips the ordering check.
     """
     if on_violation not in ("raise", "flag"):
         raise ValueError("on_violation must be 'raise' or 'flag'")
@@ -258,12 +260,19 @@ def bound_chain(
         else:
             adjusted = var / slope**2
 
-        ic = _cfi_from_probs(p0, dp)
+        try:
+            ic = _cfi_from_probs(p0, dp)
+        except ValueError:
+            if on_violation == "raise":
+                raise
+            ic = float("inf")
+            flags.append("cfi-divergent")
         inv_cfi = 1.0 / ic if ic > 1e-300 else float("inf")
         iq = _family_qfi(family, st0, alpha)
         inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
 
-        if (adjusted < inv_cfi - chain_tol) or (inv_cfi < inv_qfi - chain_tol):
+        out_of_order = (adjusted < inv_cfi - chain_tol) or (inv_cfi < inv_qfi - chain_tol)
+        if out_of_order and "cfi-divergent" not in flags:
             msg = (
                 f"bound chain violated at alpha={alpha}: adjusted={adjusted:.9g}, "
                 f"1/I_c={inv_cfi:.9g}, 1/I_q={inv_qfi:.9g}"

@@ -8,7 +8,7 @@ magnitude above 1e-10 is real and positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,34 +65,6 @@ def kron(*ops) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
-
-
-def _check_qubit_dim(a: np.ndarray, n: int) -> None:
-    if a.shape[0] != 2**n:
-        raise ValueError(f"matrix dimension {a.shape[0]} does not match n={n} qubits")
-
-
-def partial_trace(a, n: int, discard: Iterable[int]) -> np.ndarray:
-    """Trace out the 1-based qubits listed in discard from an n-qubit operator.
-
-    Remaining qubits keep their relative order.
-    """
-    a = as_matrix(a)
-    _check_qubit_dim(a, n)
-    discard = sorted(set(discard))
-    if any(q < 1 or q > n for q in discard):
-        raise ValueError(f"discard indices must lie in 1..{n}, got {discard}")
-    if len(discard) == n:
-        return np.array([[np.trace(a)]], dtype=complex)
-
-    tensor = a.reshape([2] * (2 * n))
-    # pair bra axis q-1 with ket axis n+q-1 for every discarded qubit
-    for offset, q in enumerate(discard):
-        ax = q - 1 - offset
-        nq = n - offset
-        tensor = np.trace(tensor, axis1=ax, axis2=nq + ax)
-    keep = n - len(discard)
-    return tensor.reshape(2**keep, 2**keep)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ is
     M = sum_i lambda_i U(theta)^dag (I x |i><i|) U(theta),
 
 so every projector has rank 2**(n-m). Probabilities, expectation values and
-variances are computed by evolving the state and marginalizing the outcome
-bits, which agrees with the dense projector route but stays cheap.
+variances are computed by evolving the state's weighted pure rows (see
+states.white_noise_ensemble) and marginalizing the outcome bits, which agrees
+with the dense projector route but stays cheap.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .circuits import Circuit, apply_circuit, unitary
-from .states import LabeledState
+from .states import LabeledState, white_noise_ensemble
 
 PROB_CLAMP = 1e-14
 
@@ -71,10 +72,17 @@ def _coerce_state(state) -> np.ndarray:
     return arr
 
 
-def _group_outcomes(diag: np.ndarray, m: int) -> np.ndarray:
-    p = diag.reshape(-1, 2**m).sum(axis=0)
-    p[p < PROB_CLAMP] = 0.0
-    return p
+def ensemble_outcomes(rows: np.ndarray, weights: np.ndarray, noise, m: int) -> np.ndarray:
+    """weights @ (outcome marginals of the evolved rows) + noise / 2**m.
+
+    rows holds evolved ensemble rows (R, 2**n); weights is (R,) for one state
+    or (B, R) for a batch of states, with noise a scalar or (B, 1) to match.
+    White noise stays white under the circuit, so it spreads evenly over the
+    outcomes.
+    """
+    r, d = rows.shape
+    marginals = (np.abs(rows) ** 2).reshape(r, d // 2**m, 2**m).sum(axis=1)
+    return weights @ marginals + noise / 2**m
 
 
 def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:
@@ -83,14 +91,11 @@ def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:
     state is a vector, a density matrix, or a LabeledState. Values below
     1e-14 are clamped to exactly zero.
     """
-    arr = _coerce_state(state)
-    if arr.ndim == 1:
-        amps = apply_circuit(obs.circuit, theta, arr)
-        return _group_outcomes(np.abs(amps) ** 2, obs.m)
-    # U rho U^dag via two row-wise passes: first T = U rho, then T U^dag
-    t = apply_circuit(obs.circuit, theta, arr.T).T
-    evolved = np.conj(apply_circuit(obs.circuit, theta, np.conj(t)))
-    return _group_outcomes(np.diag(evolved).real, obs.m)
+    ens = white_noise_ensemble(_coerce_state(state))
+    rows = apply_circuit(obs.circuit, theta, ens.rows)
+    p = ensemble_outcomes(rows, ens.weights, ens.noise, obs.m)
+    p[p < PROB_CLAMP] = 0.0
+    return p
 
 
 def expectation(obs: ParamObservable, theta: np.ndarray, state) -> float:

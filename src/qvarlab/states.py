@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from . import linalg
 GAP_TOL = 1e-10
 EIGENVALUE_CLIP = -1e-10
 NORM_TOL = 1e-10
+ENSEMBLE_FLOOR = 1e-13
 
 
 class DegenerateGroundSpaceWarning(UserWarning):
@@ -58,6 +60,38 @@ class LabeledState:
         if self.psi is not None:
             return np.outer(self.psi, self.psi.conj())
         return self.rho
+
+    def ensemble(self) -> Ensemble:
+        """This state as weighted pure rows plus white noise."""
+        return white_noise_ensemble(self.psi if self.is_pure else self.rho)
+
+
+class Ensemble(NamedTuple):
+    """rho = sum_k weights[k] |rows[k]><rows[k]| + noise * I/d."""
+
+    weights: np.ndarray
+    rows: np.ndarray
+    noise: float
+
+
+def white_noise_ensemble(state) -> Ensemble:
+    """Weighted pure rows plus a white-noise weight that sum to the state.
+
+    A vector is one row of weight 1 with no noise. A density matrix is
+    eigendecomposed once: with lambda_min its smallest eigenvalue,
+    rho = sum_k (lambda_k - lambda_min) |v_k><v_k| + d lambda_min I/d exactly,
+    and rows of weight at or below ENSEMBLE_FLOOR are dropped. Since
+    U (I/d) U^dag = I/d, only the rows need evolving: a rank-r state mixed
+    with white noise costs r rows, and I/d itself costs none.
+    """
+    arr = np.asarray(state, dtype=complex)
+    if arr.ndim == 1:
+        return Ensemble(np.ones(1), arr[None, :], 0.0)
+    es = linalg.herm_eig(arr, tol=1e-10)
+    floor = es.values[0]
+    weights = es.values - floor
+    keep = weights > ENSEMBLE_FLOOR
+    return Ensemble(weights[keep], es.vectors[:, keep].T, float(len(weights) * floor))
 
 
 def ghz(n: int, sign: int = +1) -> np.ndarray:

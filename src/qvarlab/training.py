@@ -20,9 +20,9 @@ import numpy as np
 
 from .circuits import Circuit, apply_circuit, apply_circuit_trace
 from .fisher import StateFamily
+from .observables import ensemble_outcomes
 from .states import LabeledState
 
-DENSE_DIM_LIMIT = 128
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
@@ -108,11 +108,14 @@ def make_trainset(family: StateFamily, count: int, lo: float, hi: float) -> Trai
 class _Engine:
     """Shared-state evaluator for one (circuit, m, trainset) triple.
 
-    Holds the evolved batch appropriate for the state mix (statevectors when
-    every item is pure, circuit unitary against stored densities for small
-    mixed problems, per-item density evolution otherwise) plus the per-gate
-    snapshot trace of the last full evaluation, keyed by theta, so that
-    finite-difference probes resume from the first gate an angle touches.
+    Every item is written once as weighted pure rows plus a white-noise weight
+    (LabeledState.ensemble): a pure item is one row of weight 1, a MixtureModel
+    item two rows, and I/d none. All rows go through the circuit as one batch;
+    item i's outcome distribution is its rows' weighted marginals plus its
+    noise weight spread evenly over the outcomes, since U I U^dag = I. The
+    per-gate snapshot trace of the last full evaluation is kept, keyed by
+    theta, so that finite-difference probes resume from the first gate an
+    angle touches.
     """
 
     def __init__(self, circuit: Circuit, m: int, trainset: TrainSet):
@@ -123,18 +126,13 @@ class _Engine:
         self.circuit = circuit
         self.m = m
         self.labels = trainset.labels
-        d = trainset.dim
-        items = trainset.items
-        if all(it.is_pure for it in items):
-            self.mode = "pure"
-            self.batch0 = np.stack([it.psi for it in items])
-        elif d <= DENSE_DIM_LIMIT:
-            self.mode = "dense"
-            self.rhos = np.stack([it.density() for it in items])
-            self.batch0 = np.eye(d, dtype=complex)
-        else:
-            self.mode = "density"
-            self.batch0 = np.concatenate([it.density().T for it in items], axis=0)
+        parts = [it.ensemble() for it in trainset.items]
+        self.batch0 = np.concatenate([e.rows for e in parts])
+        # mix[i, r] is row r's weight in item i; rows of other items weigh 0
+        owner = np.repeat(np.arange(len(parts)), [len(e.weights) for e in parts])
+        self.mix = np.zeros((len(parts), len(owner)))
+        self.mix[owner, np.arange(len(owner))] = np.concatenate([e.weights for e in parts])
+        self.noise = np.array([[e.noise] for e in parts])
         # first gate touching each parameter slot; slots no gate reads keep
         # len(gates) so a probe there skips the circuit entirely
         first = [len(circuit.gates)] * circuit.param_count
@@ -144,33 +142,14 @@ class _Engine:
                     first[s] = k
         self.first_gate = first
         self._theta = None
-        self._theta_now = None
         self._trace = None
 
     def _probs_from_batch(self, batch: np.ndarray) -> np.ndarray:
-        d = 2**self.circuit.n
-        nb = len(self.labels)
-        if self.mode == "pure":
-            full = np.abs(batch) ** 2
-        elif self.mode == "dense":
-            u = batch.T
-            rot = np.matmul(u, self.rhos)
-            full = np.einsum("bij,ij->bi", rot, u.conj()).real
-        else:
-            evolved = batch.reshape(nb, d, d)
-            full = np.empty((nb, d))
-            for b in range(nb):
-                t = evolved[b].T
-                out = np.conj(
-                    apply_circuit(self.circuit, self._theta_now, np.conj(t))
-                )
-                full[b] = np.diagonal(out).real
-        p = full.reshape(nb, -1, 2**self.m)
-        return np.clip(p.sum(axis=1), 0.0, None)
+        p = ensemble_outcomes(batch, self.mix, self.noise, self.m)
+        return np.clip(p, 0.0, None)
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
         """Full evaluation; refreshes the snapshot trace."""
-        self._theta_now = theta
         self._trace = apply_circuit_trace(self.circuit, theta, self.batch0)
         self._theta = np.array(theta, copy=True)
         return self._probs_from_batch(self._trace[-1])
@@ -180,7 +159,6 @@ class _Engine:
         start = self.first_gate[slot]
         theta = np.array(self._theta, copy=True)
         theta[slot] = value
-        self._theta_now = theta
         batch = apply_circuit(self.circuit, theta, self._trace[start], start=start)
         return self._probs_from_batch(batch)
 

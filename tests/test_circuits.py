@@ -17,17 +17,17 @@ def _gate(name, qubits, slots):
 
 def test_single_qubit_rotations_full_angle():
     th = 0.37
-    got = qc.gate_matrix(_gate("rx", (1,), (0,)), np.array([th]), 1)
+    got = qc.gate_matrix(_gate("rx", (1,), (0,)), np.array([th]))
     want = np.cos(th) * I2 - 1j * np.sin(th) * X
     assert np.allclose(got, want, atol=1e-15)
-    got = qc.gate_matrix(_gate("rz", (1,), (0,)), np.array([th]), 1)
+    got = qc.gate_matrix(_gate("rz", (1,), (0,)), np.array([th]))
     assert np.allclose(got, np.diag([np.exp(-1j * th), np.exp(1j * th)]), atol=1e-15)
 
 
 def test_two_qubit_rotations_match_expm():
     th = -0.81
     for name, gen in (("rzz", kron(Z, Z)), ("rxx", kron(X, X)), ("ryy", kron(Y, Y))):
-        got = qc.gate_matrix(_gate(name, (1, 2), (0,)), np.array([th]), 2)
+        got = qc.gate_matrix(_gate(name, (1, 2), (0,)), np.array([th]))
         want = herm_fn(gen, lambda w: np.exp(-1j * th * w))
         assert np.allclose(got, want, atol=1e-14), name
 
@@ -42,14 +42,14 @@ def test_u3_is_zyz_half_angle_product():
         c, s = np.cos(a / 2), np.sin(a / 2)
         return np.array([[c, -s], [s, c]])
 
-    got = qc.gate_matrix(_gate("u3", (1,), (0, 1, 2)), np.array([th, ph, lm]), 1)
+    got = qc.gate_matrix(_gate("u3", (1,), (0, 1, 2)), np.array([th, ph, lm]))
     assert np.allclose(got, rz(ph) @ ry(th) @ rz(lm), atol=1e-14)
 
 
 def test_cu3_controls_on_first_qubit():
     params = np.array([0.4, 0.2, -0.5])
-    got = qc.gate_matrix(_gate("cu3", (1, 2), (0, 1, 2)), params, 2)
-    u = qc.gate_matrix(_gate("u3", (1,), (0, 1, 2)), params, 1)
+    got = qc.gate_matrix(_gate("cu3", (1, 2), (0, 1, 2)), params)
+    u = qc.gate_matrix(_gate("u3", (1,), (0, 1, 2)), params)
     want = np.zeros((4, 4), dtype=complex)
     want[:2, :2] = np.eye(2)
     want[2:, 2:] = u
@@ -132,6 +132,17 @@ def test_apply_circuit_resume_and_trace():
     for k in (0, 3, len(c.gates)):
         resumed = qc.apply_circuit(c, th, trace[k], start=k)
         assert np.array_equal(resumed, full)
+
+
+def test_apply_circuit_accepts_empty_batch():
+    # a white-noise state has no pure rows, so its batch is (0, 2**n)
+    c = qc.hea(3, 1)
+    th = np.zeros(c.param_count)
+    empty = np.zeros((0, 8), dtype=complex)
+    assert qc.apply_circuit(c, th, empty).shape == (0, 8)
+    assert qc.apply_circuit(c, th, empty, start=2).shape == (0, 8)
+    trace = qc.apply_circuit_trace(c, th, empty)
+    assert all(s.shape == (0, 8) for s in trace)
 
 
 def test_circuit_validation_errors():

@@ -239,6 +239,19 @@ def test_bound_chain_flag_mode_marks_instead_of_raising():
     assert "chain-violation" in reports[0].flag
 
 
+def test_bound_chain_flags_divergent_cfi():
+    # at alpha=5e-7 outcome 1 has probability 2.5e-13 but slope 1e-6, so the
+    # classical Fisher information diverges there
+    fam = _bloch_family()
+    obs = ParamObservable(qc.make_circuit(1, [], 0), 1, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="diverges"):
+        bound_chain(obs, np.array([]), fam, [5e-7])
+    (rep,) = bound_chain(obs, np.array([]), fam, [5e-7], on_violation="flag")
+    assert rep.flag == "cfi-divergent"
+    assert rep.inv_cfi == 0.0
+    assert rep.inv_qfi == pytest.approx(0.25, rel=1e-6)
+
+
 def test_fisher_report_defaults():
     rep = FisherReport(alpha=0.5, adjusted_variance=1.0, inv_cfi=0.5, inv_qfi=0.25)
     assert rep.flag == ""

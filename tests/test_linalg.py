@@ -30,39 +30,6 @@ def test_hermiticity_helpers():
     assert linalg.hermiticity_defect(fixed) < 1e-16
 
 
-def test_partial_trace_bell_state():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    for q in (1, 2):
-        red = linalg.partial_trace(rho, 2, [q])
-        assert np.allclose(red, np.eye(2) / 2, atol=1e-14)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a /= np.linalg.norm(a)
-    b = rng.normal(size=4) + 1j * rng.normal(size=4)
-    b /= np.linalg.norm(b)
-    psi = linalg.kron(a, b)
-    rho = np.outer(psi, psi.conj())
-    red = linalg.partial_trace(rho, 3, [2, 3])
-    assert np.allclose(red, np.outer(a, a.conj()), atol=1e-14)
-    red2 = linalg.partial_trace(rho, 3, [1])
-    assert np.allclose(red2, np.outer(b, b.conj()), atol=1e-14)
-
-
-def test_partial_trace_keeps_trace():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    red = linalg.partial_trace(rho, 3, [2])
-    assert red.shape == (4, 4)
-    assert abs(np.trace(red) - 1.0) < 1e-12
-
-
 def test_herm_eig_sorted_and_phase_fixed():
     rng = np.random.default_rng(7)
     for trial in range(5):

@@ -227,6 +227,39 @@ def test_engine_modes_agree_on_loss():
     ) < 1e-12
 
 
+def test_ensemble_route_matches_dense_trace():
+    # oracle: Tr(P_k rho), Tr(M rho) and Tr(M^2 rho) from the dense operator,
+    # to 1e-10, for random full-rank states at d=8 and d=256 and for I/d,
+    # whose ensemble has no rows at all
+    rng = np.random.default_rng(41)
+    cfg = TrainConfig(w_ls=1.0, w_var=0.3)
+    for n in (3, 8):
+        d = 2**n
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        ts = TrainSet(
+            items=(
+                LabeledState(0.2, rho=rho),
+                LabeledState(0.7, rho=np.eye(d, dtype=complex) / d),
+            )
+        )
+        c = qc.hea(n, 1)
+        theta = rng.uniform(0, 2 * np.pi, c.param_count)
+        lam = rng.normal(size=2)
+        obs = ParamObservable(c, 1, lam)
+        spec = obs_mod.matrix(obs, theta)
+        op = spec.operator()
+        want = 0.0
+        for it in ts.items:
+            exact = np.einsum("kij,ji->k", spec.projectors, it.rho).real
+            assert np.allclose(obs_mod.probabilities(obs, theta, it), exact, rtol=0, atol=1e-10)
+            mean = np.trace(op @ it.rho).real
+            var = np.trace(op @ op @ it.rho).real - mean**2
+            want += (it.label - mean) ** 2 + 0.3 * var
+        assert abs(loss(lam, theta, ts, cfg, c, 1) - want) < 1e-10
+
+
 def test_train_identity_circuit_recovers_labels():
     cfg = TrainConfig(seed=1, restarts=2, max_iters=100)
     res = train(ID1, 1, BASIS_TS, cfg)
