@@ -13,7 +13,7 @@ probabilities, expectations and density matrices, step 1e-5 for state vectors
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,16 +41,29 @@ class ChainViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A differentiable path alpha -> state over a validity interval."""
+    """A differentiable path alpha -> state over a validity interval.
+
+    Pure states are memoized per alpha on the family object, so a grid point
+    that training, the bound-chain stencils and the CSV rows all visit costs
+    one evaluation (one ground-state solve for the spin-chain families).
+    Density states are not kept: at d x d each, a run's grid would hold
+    hundreds of MB at n=8, while the mixture's closed form is cheap to redo.
+    """
 
     evaluator: Callable[[float], LabeledState]
     alpha_range: tuple[float, float]
+    _pure: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def state(self, alpha: float) -> LabeledState:
         lo, hi = self.alpha_range
         if not lo <= alpha <= hi:
             raise ValueError(f"alpha={alpha} outside family range [{lo}, {hi}]")
-        return self.evaluator(alpha)
+        st = self._pure.get(alpha)
+        if st is None:
+            st = self.evaluator(alpha)
+            if st.is_pure:
+                self._pure[alpha] = st
+        return st
 
     def contains_stencil(self, alpha: float, step: float) -> bool:
         lo, hi = self.alpha_range

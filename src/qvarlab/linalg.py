@@ -3,7 +3,10 @@
 Conventions used everywhere: states live in 2**n dimensional complex spaces,
 qubit 1 is the most significant bit of the basis index, eigenvalues come back
 sorted ascending, and eigenvector phases are fixed so the first component of
-magnitude above 1e-10 is real and positive.
+magnitude above 1e-10 is real and positive. Within a degenerate eigenspace
+herm_eig returns whatever basis the solver gives; states.ground_state resolves
+the one degeneracy the spin-chain families meet, between the two spin-flip
+parity sectors, by solving each sector on its own.
 """
 from __future__ import annotations
 
@@ -68,15 +71,19 @@ def kron(*ops) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above PHASE_TOL is real positive."""
+    """Rotate each column so its first component above PHASE_TOL is real positive.
+
+    Columns with no such component are returned unchanged. The pivot modulus
+    is taken with hypot and each column is scaled by its own factor in one
+    inner ufunc loop, the arithmetic of a per-column loop, so the result is
+    bitwise the same as rotating the columns one at a time.
+    """
+    mask = np.abs(vectors) > PHASE_TOL
+    cols = np.flatnonzero(mask.any(axis=0))
+    pivots = vectors[mask.argmax(axis=0)[cols], cols]
+    factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > PHASE_TOL)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        out[:, k] = col * (pivot.conj() / abs(pivot))
+    out[:, cols] = (vectors[:, cols].T * factors[:, None]).T
     return out
 
 

@@ -163,19 +163,47 @@ def fidelity(rho: np.ndarray, tau: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
 
 
+def _check_gap(values: np.ndarray, gap_tol: float) -> None:
+    if len(values) > 1 and values[1] - values[0] < gap_tol:
+        warnings.warn(
+            f"ground space is degenerate within {gap_tol:.1e} "
+            f"(gap {values[1] - values[0]:.3e})",
+            DegenerateGroundSpaceWarning,
+            stacklevel=3,
+        )
+
+
 def ground_state(h: np.ndarray, gap_tol: float = GAP_TOL) -> np.ndarray:
     """Lowest eigenvector of a Hermitian matrix, phase-fixed.
 
-    If the spectral gap above the ground energy is below gap_tol the ground
-    space is effectively degenerate; the lowest-index eigenvector is still
-    returned but a DegenerateGroundSpaceWarning is emitted.
+    A matrix of even size that commutes with the global spin flip X^{(x)n},
+    which maps basis index s to d-1-s, so that h[::-1, ::-1] == h exactly,
+    is solved per flip-parity sector. With A the upper-left block and B the
+    upper-right block of h, the even and odd sectors are the d/2-wide
+    Hermitian matrices A + B J and A - B J (J reverses the columns). Both are
+    eigensolved, and the lower sector's ground vector x is returned as
+    [x, +-x[::-1]]/sqrt(2). Sector energies within gap_tol of each other
+    select the even sector: the Ising ring at even n, near-degenerate at
+    small field, has an even ground state exactly, since conjugating by the
+    product of Z makes it stoquastic. Any other matrix (for example the
+    cluster chain at eps != 0 or the Schwinger chain) is eigensolved whole.
+
+    A DegenerateGroundSpaceWarning is emitted when the two lowest eigenvalues
+    of the matrix solved (the whole matrix or the chosen sector) are closer
+    than gap_tol; the lowest-index eigenvector is still returned.
     """
-    es = linalg.herm_eig(h)
-    if len(es.values) > 1 and es.values[1] - es.values[0] < gap_tol:
-        warnings.warn(
-            f"ground space is degenerate within {gap_tol:.1e} "
-            f"(gap {es.values[1] - es.values[0]:.3e})",
-            DegenerateGroundSpaceWarning,
-            stacklevel=2,
-        )
-    return es.vectors[:, 0].copy()
+    h = linalg.as_matrix(h)
+    d = len(h)
+    if d % 2 or not np.array_equal(h[::-1, ::-1], h):
+        es = linalg.herm_eig(h)
+        _check_gap(es.values, gap_tol)
+        return es.vectors[:, 0].copy()
+    h = linalg.hermitianize(linalg.require_hermitian(h))
+    a = h[: d // 2, : d // 2]
+    bj = h[: d // 2, d // 2 :][:, ::-1]
+    even, odd = linalg.herm_eig(a + bj), linalg.herm_eig(a - bj)
+    sign, es = (1.0, even) if even.values[0] < odd.values[0] + gap_tol else (-1.0, odd)
+    _check_gap(es.values, gap_tol)
+    x = es.vectors[:, 0]
+    psi = np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0)
+    return linalg._fix_phases(psi[:, None])[:, 0]

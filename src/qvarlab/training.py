@@ -15,13 +15,14 @@ floats either way).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .circuits import Circuit, apply_circuit, apply_circuit_trace
 from .fisher import StateFamily
 from .observables import ensemble_outcomes
-from .states import LabeledState
+from .states import Ensemble, LabeledState
 
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -52,6 +53,11 @@ class TrainSet:
     @property
     def dim(self) -> int:
         return self.items[0].dim
+
+    @cached_property
+    def ensembles(self) -> tuple[Ensemble, ...]:
+        """Every item as weighted pure rows plus white noise, computed once per set."""
+        return tuple(it.ensemble() for it in self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -108,11 +114,12 @@ def make_trainset(family: StateFamily, count: int, lo: float, hi: float) -> Trai
 class _Engine:
     """Shared-state evaluator for one (circuit, m, trainset) triple.
 
-    Every item is written once as weighted pure rows plus a white-noise weight
-    (LabeledState.ensemble): a pure item is one row of weight 1, a MixtureModel
-    item two rows, and I/d none. All rows go through the circuit as one batch;
-    item i's outcome distribution is its rows' weighted marginals plus its
-    noise weight spread evenly over the outcomes, since U I U^dag = I. The
+    Every item is written as weighted pure rows plus a white-noise weight
+    (TrainSet.ensembles, computed once per train set): a pure item is one row
+    of weight 1, a MixtureModel item two rows, and I/d none. All rows go
+    through the circuit as one batch; item i's outcome distribution is its
+    rows' weighted marginals plus its noise weight spread evenly over the
+    outcomes, since U I U^dag = I. The
     per-gate snapshot trace of the last full evaluation is kept, keyed by
     theta, so that finite-difference probes resume from the first gate an
     angle touches.
@@ -126,7 +133,7 @@ class _Engine:
         self.circuit = circuit
         self.m = m
         self.labels = trainset.labels
-        parts = [it.ensemble() for it in trainset.items]
+        parts = trainset.ensembles
         self.batch0 = np.concatenate([e.rows for e in parts])
         # mix[i, r] is row r's weight in item i; rows of other items weigh 0
         owner = np.repeat(np.arange(len(parts)), [len(e.weights) for e in parts])

@@ -50,6 +50,25 @@ def test_state_family_range_and_stencil():
     assert not fam.contains_stencil(2.0, 1e-4)
 
 
+def test_state_family_memoizes_pure_states_only():
+    calls = []
+
+    def ev(a):
+        calls.append(a)
+        return LabeledState(a, psi=np.array([np.cos(a), np.sin(a)], dtype=complex))
+
+    fam = StateFamily(ev, (-1.0, 2.0))
+    first = fam.state(0.3)
+    assert fam.state(0.3) is first and fam.state(np.float64(0.3)) is first
+    fam.state(0.4)
+    assert calls == [0.3, 0.4]
+    # a separate family object starts with no states
+    assert StateFamily(ev, (-1.0, 2.0)).state(0.3) is not first
+    assert calls == [0.3, 0.4, 0.3]
+    mixed = _diag_family(lambda a: 0.5 * a)
+    assert mixed.state(0.3) is not mixed.state(0.3)
+
+
 def test_outcome_probs_input_forms():
     psi = np.array([0.6, 0.8], dtype=complex)
     want = np.array([0.36, 0.64])

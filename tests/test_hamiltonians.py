@@ -99,3 +99,42 @@ def test_cluster_limits():
 def test_cluster_validation():
     with pytest.raises(ValueError):
         ham.cluster(2, 0.5)
+
+
+def test_pauli_sum_bitwise_matches_dense_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        strings = []
+        for _ in range(8):
+            qubits = rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, n + 1)), replace=False)
+            letters = {int(q): str(rng.choice(["X", "Y", "Z"])) for q in qubits}
+            strings.append(ham.PauliString(n, letters, coeff=float(rng.normal())))
+        want = np.zeros((2**n, 2**n), dtype=complex)
+        for ps in strings:
+            want += ham.pauli_matrix(ps)
+        assert np.array_equal(ham.pauli_sum(strings), want)
+
+
+def _schwinger_nested_reference(n, mu, w, g, eps0):
+    # the docstring's formula term by term, with dense Pauli matrices
+    d = 2**n
+    out = np.zeros((d, d), dtype=complex)
+    for j in range(1, n):
+        out += w * ham.pauli_matrix(ham.PauliString(n, {j: "X", j + 1: "X"}))
+        out += w * ham.pauli_matrix(ham.PauliString(n, {j: "Y", j + 1: "Y"}))
+    for j in range(1, n + 1):
+        out += (mu / 2.0) * (-1) ** j * ham.pauli_matrix(ham.PauliString(n, {j: "Z"}))
+    eye = np.eye(d, dtype=complex)
+    for j in range(1, n + 1):
+        field = eps0 * eye
+        for l in range(1, j + 1):
+            field -= 0.5 * (ham.pauli_matrix(ham.PauliString(n, {l: "Z"})) + (-1) ** j * eye)
+        out += g * field
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_schwinger_matches_nested_field_formula(n):
+    for mu, w, g, eps0 in ((-2.2, 1.0, 1.0, 0.0), (0.43, 1.2, 0.8, 0.0), (1.2, 0.7, 1.3, 1.5)):
+        got = ham.schwinger(n, mu, w=w, g=g, eps0=eps0)
+        assert np.abs(got - _schwinger_nested_reference(n, mu, w, g, eps0)).max() < 1e-12

@@ -97,3 +97,29 @@ def test_haar_unitary_column_spread():
         acc += np.outer(u[:, 0], u[:, 0].conj())
     acc /= 200
     assert np.abs(acc - np.eye(d) / d).max() < 0.1
+
+
+def _fix_phases_loop(vectors):
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = np.flatnonzero(np.abs(col) > linalg.PHASE_TOL)
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        out[:, k] = col * (pivot.conj() / abs(pivot))
+    return out
+
+
+@pytest.mark.parametrize("d, cols", [(1, 1), (2, 2), (3, 1), (5, 2), (8, 8), (17, 9), (64, 64), (256, 100)])
+def test_fix_phases_bitwise_matches_column_loop(d, cols):
+    rng = np.random.default_rng([41, d, cols])
+    v = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
+    # leading entries below PHASE_TOL in every other column, so the pivot
+    # is found further down
+    v[: min(2, d - 1), ::2] *= 1e-11
+    if cols > 1:
+        v[:, 1] = 0.0  # no pivot at all: the column passes through unchanged
+    assert linalg._fix_phases(v).tobytes() == _fix_phases_loop(v).tobytes()
+    w = np.linalg.eigh(v @ v.conj().T)[1][:, :cols]
+    assert linalg._fix_phases(w).tobytes() == _fix_phases_loop(w).tobytes()

@@ -1,7 +1,10 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
-from qvarlab import states
+from qvarlab import hamiltonians, linalg, states
 
 
 def test_ghz_vectors():
@@ -98,3 +101,32 @@ def test_ground_state_leading_amplitude_positive():
         lead = g[np.argmax(np.abs(g) > 1e-10)]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
         assert abs(np.linalg.norm(g) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 10])
+def test_ising_ground_state_solved_in_parity_sector(n):
+    # the global flip maps s to d-1-s, so psi[::-1] is X^n psi
+    for h in (0.05, 0.3, 1.0, 2.0):
+        ham = hamiltonians.ising(n, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
+            psi = states.ground_state(ham)
+        assert abs(np.vdot(psi, psi[::-1]).real - (-1) ** n) < 1e-12
+        energy = np.vdot(psi, ham @ psi).real
+        assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
+        lead = psi[np.argmax(np.abs(psi) > linalg.PHASE_TOL)]
+        assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+def test_ground_state_warns_on_degenerate_parity_sector():
+    # flip-symmetric, and each sector of the identity is itself degenerate
+    with pytest.warns(states.DegenerateGroundSpaceWarning):
+        states.ground_state(np.eye(4, dtype=complex))
+
+
+def test_cluster_ground_state_is_the_whole_matrix_solution():
+    # the pinning field breaks the flip symmetry, so no sector split happens
+    for n, x in itertools.product((6, 8), (-0.2, 0.0, 0.5, 1.0, 1.2)):
+        ham = hamiltonians.cluster(n, x)
+        want = linalg.herm_eig(ham).vectors[:, 0]
+        assert states.ground_state(ham).tobytes() == want.tobytes()

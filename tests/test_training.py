@@ -97,6 +97,22 @@ def test_loss_matches_observable_route():
     assert abs(got - want) < 1e-12
 
 
+def test_trainset_ensembles_computed_once():
+    ts = make_trainset(MixtureModel(2, 0.25).family(), 4, 0.1, 0.9)
+    first = ts.ensembles
+    assert ts.ensembles is first
+    for it, ens in zip(ts.items, first):
+        want = it.ensemble()
+        assert np.array_equal(ens.rows, want.rows) and np.array_equal(ens.weights, want.weights)
+        assert ens.noise == want.noise
+    c = qc.hea(2, 1)
+    theta = np.linspace(0.1, 1.0, c.param_count)
+    lam = np.array([0.2, 0.8])
+    a = loss(lam, theta, ts, TrainConfig(), c, 1)
+    assert ts.ensembles is first
+    assert loss(lam, theta, ts, TrainConfig(), c, 1) == a
+
+
 def test_loss_permutation_invariant():
     rng = np.random.default_rng(13)
     fam = MixtureModel(2, 0.25).family()
