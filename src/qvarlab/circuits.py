@@ -12,6 +12,14 @@ Rotation conventions:
   R_Z(phi) R_Y(theta) R_Z(lam) in the half-angle convention, and cu3 applies a
   u3 on the target controlled on the first qubit of the pair. The sum gates
   exponentiate a whole translation-invariant generator at once.
+
+Kernel: a state batch is a (B, 2, ..., 2) tensor, axis q holding qubit q. A
+one- or two-qubit gate is one BLAS matrix product: the target axes are moved
+last by a transpose (its axis plan cached per target tuple and rank), the
+tensor is flattened to (rows, 2 or 4) and multiplied by the transposed local
+matrix, and the axes are moved back. Sum gates are two products with their
+cached eigenbasis. Callers that evaluate one theta many times build the local
+matrices once with gate_matrices and pass them in.
 """
 from __future__ import annotations
 
@@ -165,23 +173,44 @@ def gate_matrix(gate: Gate, params: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # state application
 
-def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int):
-    """Apply a 1- or 2-qubit matrix to batch axes; batch shape (B, 2, ..., 2)."""
-    if len(qubits) == 1:
-        ax = qubits[0]
-        out = np.tensordot(batch, mat, axes=([ax], [1]))
-        return np.moveaxis(out, -1, ax)
-    a, b = qubits
-    g = mat.reshape(2, 2, 2, 2)
-    out = np.tensordot(batch, g, axes=([a, b], [2, 3]))
-    return np.moveaxis(out, (-2, -1), (a, b))
+@lru_cache(maxsize=None)
+def _axis_plan(qubits: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Permutation moving the target axes last, and its inverse."""
+    perm = tuple(ax for ax in range(ndim) if ax not in qubits) + qubits
+    inv = tuple(int(i) for i in np.argsort(perm))
+    return perm, inv
 
 
-def _apply_gate(batch: np.ndarray, gate: Gate, theta: np.ndarray, n: int) -> np.ndarray:
-    """One gate applied to a tensor-shaped batch (B, 2, ..., 2)."""
+def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Apply a 1- or 2-qubit matrix to batch axes; batch shape (B, 2, ..., 2).
+
+    One zgemm on the target axes moved last. The operands, their layout and
+    the call are those np.tensordot builds, so the floats are the same;
+    einsum or elementwise products round differently.
+    """
+    perm, inv = _axis_plan(qubits, batch.ndim)
+    moved = batch.transpose(perm)
+    out = np.dot(moved.reshape(-1, mat.shape[0]), mat.T)
+    return out.reshape(moved.shape).transpose(inv)
+
+
+def gate_matrices(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
+    """Local matrix of every gate at theta; None for sum gates."""
+    return [gate_matrix(g, theta) if g.qubits else None for g in circuit.gates]
+
+
+def _apply_gate(
+    batch: np.ndarray, gate: Gate, theta: np.ndarray, n: int, mat: np.ndarray | None = None
+) -> np.ndarray:
+    """One gate applied to a tensor-shaped batch (B, 2, ..., 2).
+
+    mat is the gate's local matrix at theta if already built; without it the
+    matrix is built here. Sum gates have none.
+    """
     if gate.qubits:
-        mat = gate_matrix(gate, theta)
-        return _apply_local(batch, mat, gate.qubits, n)
+        if mat is None:
+            mat = gate_matrix(gate, theta)
+        return _apply_local(batch, mat, gate.qubits)
     # sum gates act through their cached eigenbasis, never through a dense matrix
     vals, vecs = _sum_generator_eig(gate.name, n)
     shape = batch.shape
@@ -192,13 +221,19 @@ def _apply_gate(batch: np.ndarray, gate: Gate, theta: np.ndarray, n: int) -> np.
 
 
 def apply_circuit(
-    circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int = 0
+    circuit: Circuit,
+    theta: np.ndarray,
+    states: np.ndarray,
+    start: int = 0,
+    mats: Sequence[np.ndarray | None] | None = None,
 ) -> np.ndarray:
     """Evolve one state vector or a batch of them through the circuit.
 
     states has shape (2**n,) or (B, 2**n); the same shape comes back. With
     start > 0 only gates[start:] are applied, which lets callers resume from a
-    cached intermediate state.
+    cached intermediate state. mats, when given, is gate_matrices(circuit,
+    theta); callers that evaluate one theta repeatedly pass it to skip
+    rebuilding the local matrices.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.param_count,):
@@ -212,19 +247,24 @@ def apply_circuit(
         raise ValueError(f"state dimension {batch.shape[1]} does not match n={circuit.n}")
     nb = batch.shape[0]
     batch = batch.reshape([nb] + [2] * circuit.n)
-    for gate in circuit.gates[start:]:
-        batch = _apply_gate(batch, gate, theta, circuit.n)
+    for k in range(start, len(circuit.gates)):
+        mat = None if mats is None else mats[k]
+        batch = _apply_gate(batch, circuit.gates[k], theta, circuit.n, mat)
     out = batch.reshape(nb, 2**circuit.n)
     return out[0] if single else out
 
 
 def apply_circuit_trace(
-    circuit: Circuit, theta: np.ndarray, states: np.ndarray
+    circuit: Circuit,
+    theta: np.ndarray,
+    states: np.ndarray,
+    mats: Sequence[np.ndarray | None] | None = None,
 ) -> list[np.ndarray]:
     """Like apply_circuit on a (B, 2**n) batch, but keeps every intermediate.
 
     Returns a list of length len(gates) + 1 of flat (B, 2**n) snapshots;
     entry k is the state before gate k, the last entry is the final state.
+    mats is as in apply_circuit.
     """
     theta = np.asarray(theta, dtype=float)
     batch = np.asarray(states, dtype=complex)
@@ -233,9 +273,12 @@ def apply_circuit_trace(
         raise ValueError(f"state dimension {d} does not match n={circuit.n}")
     snaps = [batch.copy()]
     tensor = batch.reshape([nb] + [2] * circuit.n)
-    for gate in circuit.gates:
-        tensor = _apply_gate(tensor, gate, theta, circuit.n)
-        snaps.append(tensor.reshape(nb, d).copy())
+    for k, gate in enumerate(circuit.gates):
+        mat = None if mats is None else mats[k]
+        tensor = _apply_gate(tensor, gate, theta, circuit.n, mat)
+        # reshape copies a transposed gate output; a contiguous one is a fresh
+        # array already, and no gate writes to its input
+        snaps.append(tensor.reshape(nb, d))
     return snaps
 
 

@@ -8,9 +8,11 @@ search; each restart first pre-optimizes theta alone to spread the training
 states' outcome distributions apart, which keeps the joint phase out of
 split-sector basins. All derivatives are central finite differences; the
 engine below makes them cheap by caching per-gate snapshots so that a
-shifted angle only recomputes the circuit suffix that depends on it (bitwise
-identical to a full re-evaluation, since the untouched prefix is the same
-floats either way).
+shifted angle only recomputes the circuit suffix that depends on it, and by
+building the gate matrices once per theta, so that a probe rebuilds only the
+matrices of the gates reading the shifted slot. Both are bitwise identical to
+a full re-evaluation, since the reused prefix and matrices are the same
+floats either way.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, apply_circuit, apply_circuit_trace
+from .circuits import Circuit, apply_circuit, apply_circuit_trace, gate_matrices, gate_matrix
 from .fisher import StateFamily
 from .observables import ensemble_outcomes
 from .states import Ensemble, LabeledState
@@ -120,9 +122,10 @@ class _Engine:
     through the circuit as one batch; item i's outcome distribution is its
     rows' weighted marginals plus its noise weight spread evenly over the
     outcomes, since U I U^dag = I. The
-    per-gate snapshot trace of the last full evaluation is kept, keyed by
-    theta, so that finite-difference probes resume from the first gate an
-    angle touches.
+    per-gate snapshot trace and the gate matrices of the last full evaluation
+    are kept, keyed by theta, so that finite-difference probes resume from
+    the first gate an angle touches and rebuild only the matrices of the
+    gates that read it; every other gate reuses its matrix.
     """
 
     def __init__(self, circuit: Circuit, m: int, trainset: TrainSet):
@@ -140,15 +143,18 @@ class _Engine:
         self.mix = np.zeros((len(parts), len(owner)))
         self.mix[owner, np.arange(len(owner))] = np.concatenate([e.weights for e in parts])
         self.noise = np.array([[e.noise] for e in parts])
-        # first gate touching each parameter slot; slots no gate reads keep
-        # len(gates) so a probe there skips the circuit entirely
-        first = [len(circuit.gates)] * circuit.param_count
+        readers = [[] for _ in range(circuit.param_count)]
         for k, g in enumerate(circuit.gates):
-            for s in g.slots:
-                if k < first[s]:
-                    first[s] = k
-        self.first_gate = first
+            for s in set(g.slots):
+                readers[s].append(k)
+        # first gate reading each slot; slots no gate reads keep len(gates) so
+        # a probe there skips the circuit entirely
+        self.first_gate = [r[0] if r else len(circuit.gates) for r in readers]
+        # gates whose local matrix a probe of each slot rebuilds (sum gates
+        # have none); a qcnn slot is shared within a level, u3/cu3 read three
+        self.slot_gates = [[k for k in r if circuit.gates[k].qubits] for r in readers]
         self._theta = None
+        self._mats = None
         self._trace = None
 
     def _probs_from_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -156,17 +162,27 @@ class _Engine:
         return np.clip(p, 0.0, None)
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
-        """Full evaluation; refreshes the snapshot trace."""
-        self._trace = apply_circuit_trace(self.circuit, theta, self.batch0)
+        """Full evaluation; refreshes the gate matrices and the snapshot trace."""
+        # drop the old trace first, so that two never coexist
+        self._trace = None
+        self._mats = gate_matrices(self.circuit, theta)
+        self._trace = apply_circuit_trace(self.circuit, theta, self.batch0, mats=self._mats)
         self._theta = np.array(theta, copy=True)
         return self._probs_from_batch(self._trace[-1])
 
     def probs_shift(self, slot: int, value: float) -> np.ndarray:
-        """Probabilities with one angle replaced, resuming from the cache."""
+        """Probabilities with one angle replaced, resuming from the cache.
+
+        Only the matrices of the gates reading the slot are rebuilt; every
+        other gate reuses the matrix of the last full evaluation.
+        """
         start = self.first_gate[slot]
         theta = np.array(self._theta, copy=True)
         theta[slot] = value
-        batch = apply_circuit(self.circuit, theta, self._trace[start], start=start)
+        mats = list(self._mats)
+        for k in self.slot_gates[slot]:
+            mats[k] = gate_matrix(self.circuit.gates[k], theta)
+        batch = apply_circuit(self.circuit, theta, self._trace[start], start=start, mats=mats)
         return self._probs_from_batch(batch)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,51 @@ def test_apply_circuit_resume_and_trace():
     for k in (0, 3, len(c.gates)):
         resumed = qc.apply_circuit(c, th, trace[k], start=k)
         assert np.array_equal(resumed, full)
+
+
+def _tensordot_reference(batch, mat, qubits):
+    if len(qubits) == 1:
+        ax = qubits[0]
+        return np.moveaxis(np.tensordot(batch, mat, axes=([ax], [1])), -1, ax)
+    a, b = qubits
+    out = np.tensordot(batch, mat.reshape(2, 2, 2, 2), axes=([a, b], [2, 3]))
+    return np.moveaxis(out, (-2, -1), (a, b))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_local_bitwise_matches_tensordot(n):
+    # the kernel must make the same zgemm call as tensordot; matmul or
+    # einsum round differently
+    rng = np.random.default_rng(n)
+    local = [name for name, nq in qc.GATE_QUBITS.items() if 0 < nq <= n]
+    for name in local:
+        for qubits in itertools.permutations(range(1, n + 1), qc.GATE_QUBITS[name]):
+            gate = _gate(name, qubits, range(qc.GATE_SLOTS[name]))
+            mat = qc.gate_matrix(gate, rng.uniform(0, 2 * np.pi, 3))
+            for nb in (1, 3):
+                shape = (nb,) + (2,) * n
+                raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                # gate outputs are transposed views, so check one as input too
+                for batch in (raw, raw.transpose((0,) + tuple(range(n, 0, -1)))):
+                    got = qc._apply_local(batch, mat, qubits)
+                    assert np.array_equal(got, _tensordot_reference(batch, mat, qubits))
+
+
+@pytest.mark.parametrize("circuit", [qc.hea(3, 2), qc.qcnn(4), qc.hva_cluster(4, 2)])
+def test_apply_circuit_with_precomputed_matrices_is_bitwise_equal(circuit):
+    rng = np.random.default_rng(23)
+    th = rng.uniform(0, 2 * np.pi, circuit.param_count)
+    d = 2**circuit.n
+    batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    mats = qc.gate_matrices(circuit, th)
+    assert [m is None for m in mats] == [not g.qubits for g in circuit.gates]
+    full = qc.apply_circuit(circuit, th, batch)
+    assert qc.apply_circuit(circuit, th, batch, mats=mats).tobytes() == full.tobytes()
+    trace = qc.apply_circuit_trace(circuit, th, batch, mats=mats)
+    assert trace[-1].tobytes() == full.tobytes()
+    k = len(circuit.gates) // 2
+    resumed = qc.apply_circuit(circuit, th, trace[k], start=k, mats=mats)
+    assert resumed.tobytes() == full.tobytes()
 
 
 def test_apply_circuit_accepts_empty_batch():

@@ -90,6 +90,10 @@ def test_ground_state_phase_and_warning():
     assert np.allclose(g, [0, 1, 0, 0])
     with pytest.warns(states.DegenerateGroundSpaceWarning):
         states.ground_state(np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex))
+    # a 1x1 matrix has one eigenvalue, so no gap to check and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
+        assert np.array_equal(states.ground_state(np.array([[2.5 + 0j]])), [1.0])
 
 
 def test_ground_state_leading_amplitude_positive():

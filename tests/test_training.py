@@ -7,6 +7,7 @@ from qvarlab.mixture import MixtureModel, variance_partial
 from qvarlab.observables import ParamObservable
 from qvarlab.states import LabeledState
 from qvarlab.training import (
+    _Engine,
     TrainConfig,
     TrainSet,
     gradient,
@@ -174,6 +175,26 @@ def test_gradient_bitwise_matches_naive_probes():
         fast = gradient(lam, theta, ts, cfg, c, 1)
         slow = _naive_gradient(lam, theta, ts, cfg, c, 1)
         assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("circuit", [qc.hea(4, 2), qc.qcnn(8), qc.hva_cluster(6, 2)])
+def test_probs_shift_bitwise_matches_full_evaluation(circuit):
+    # probs_shift rebuilds only the matrices of the gates reading the slot;
+    # qcnn shares slots within a level and its u3/cu3 gates read three
+    rng = np.random.default_rng(29)
+    d = 2**circuit.n
+    rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    ts = TrainSet(items=tuple(LabeledState(float(k), psi=r) for k, r in enumerate(rows)))
+    engine = _Engine(circuit, 1, ts)
+    fresh = _Engine(circuit, 1, ts)
+    theta = rng.uniform(0, 2 * np.pi, circuit.param_count)
+    engine.probs(theta)
+    for slot in range(circuit.param_count):
+        shifted = np.array(theta, copy=True)
+        shifted[slot] += 1e-5
+        got = engine.probs_shift(slot, shifted[slot])
+        assert got.tobytes() == fresh.probs(shifted).tobytes()
 
 
 def test_gradient_matches_directional_derivative():
