@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -67,44 +67,23 @@ class ExperimentConfig:
     out: str = "experiment"
 
 
-def _mixture_family(config: ExperimentConfig) -> StateFamily:
-    return MixtureModel(n=config.n, r=config.r).family()
+def _ground_family(hamiltonian_of_alpha, alpha_range: tuple[float, float]) -> StateFamily:
+    def ev(alpha: float) -> LabeledState:
+        return LabeledState(label=float(alpha), psi=ground_state(hamiltonian_of_alpha(alpha)))
 
-
-def _ising_family(config: ExperimentConfig) -> StateFamily:
-    n = config.n
-
-    def ev(h: float) -> LabeledState:
-        return LabeledState(label=float(h), psi=ground_state(ising(n, h)))
-
-    return StateFamily(evaluator=ev, alpha_range=(1e-3, 2.5))
-
-
-def _schwinger_family(config: ExperimentConfig) -> StateFamily:
-    n, w, g = config.n, config.w, config.g
-
-    def ev(mu: float) -> LabeledState:
-        return LabeledState(label=float(mu), psi=ground_state(schwinger(n, mu, w=w, g=g)))
-
-    return StateFamily(evaluator=ev, alpha_range=(-2.2, 1.2))
-
-
-def _cluster_family(config: ExperimentConfig) -> StateFamily:
-    n, eps = config.n, config.eps
-
-    def ev(x: float) -> LabeledState:
-        return LabeledState(label=float(x), psi=ground_state(cluster(n, x, eps=eps)))
-
-    return StateFamily(evaluator=ev, alpha_range=(-0.2, 1.2))
+    return StateFamily(evaluator=ev, alpha_range=alpha_range)
 
 
 FAMILY_BUILDERS = {
-    "mixture": _mixture_family,
-    "analytic": _mixture_family,
-    "ising": _ising_family,
-    "schwinger": _schwinger_family,
-    "cluster": _cluster_family,
+    "mixture": lambda c: MixtureModel(n=c.n, r=c.r).family(),
+    "ising": lambda c: _ground_family(lambda h: ising(c.n, h), (1e-3, 2.5)),
+    "schwinger": lambda c: _ground_family(
+        lambda mu: schwinger(c.n, mu, w=c.w, g=c.g), (-2.2, 1.2)
+    ),
+    "cluster": lambda c: _ground_family(lambda x: cluster(c.n, x, eps=c.eps), (-0.2, 1.2)),
 }
+# the analytic experiment tabulates the mixture's closed forms
+FAMILY_BUILDERS["analytic"] = FAMILY_BUILDERS["mixture"]
 
 ANSATZ_BUILDERS = {
     "hea": lambda n, layers: hea(n, layers),
@@ -155,13 +134,8 @@ def _fmt(x) -> str:
 
 def _write_csv(path: str, rows: list[tuple]) -> None:
     lines = [CSV_HEADER]
-    for row in rows:
-        alpha, pred, sq, var, icv, iqv, ana, flag = row
-        lines.append(
-            ",".join(
-                [_fmt(alpha), _fmt(pred), _fmt(sq), _fmt(var), _fmt(icv), _fmt(iqv), _fmt(ana), flag]
-            )
-        )
+    for *values, flag in rows:
+        lines.append(",".join([_fmt(x) for x in values] + [flag]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -177,13 +151,22 @@ def _write_sidecar(path: str, config: ExperimentConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _closed_form(config: ExperimentConfig, m: int):
+    """The mixture's optimal variance curve for an m-qubit readout, else None."""
+    n, r = config.n, config.r
+    if config.experiment not in ("mixture", "analytic"):
+        return None
+    if m == n:
+        return lambda a: variance_full(a, n, r)
+    return lambda a: variance_partial(a, m)
+
+
 def _analytic_rows(config: ExperimentConfig, m: int, grid: np.ndarray) -> list[tuple]:
     n, r = config.n, config.r
+    ana = _closed_form(config, m)
     if m == n:
-        ana = lambda a: variance_full(a, n, r)
         p1 = np.concatenate([[max(r, 1 - r), min(r, 1 - r)], np.zeros(2**n - 2)])
     else:
-        ana = lambda a: variance_partial(a, m)
         p1 = np.zeros(2**m)
         p1[0] = 1.0
     uniform = np.full(len(p1), 1.0 / len(p1))
@@ -210,13 +193,8 @@ def _trained_rows(
     grid: np.ndarray,
     analytic_m,
 ) -> list[tuple]:
-    tc = TrainConfig(
-        w_ls=config.w_ls,
-        w_var=config.w_var,
-        seed=config.seed,
-        restarts=config.restarts,
-        max_iters=config.max_iters,
-    )
+    # every TrainConfig field has a same-named ExperimentConfig field
+    tc = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
     result = train(circuit, m, trainset, tc)
     run_flag = "" if result.converged else "nonconverged"
     obs = ParamObservable(circuit=circuit, m=m, lambdas=result.lambdas)
@@ -247,61 +225,52 @@ def _trained_rows(
 
 
 def run(config: ExperimentConfig) -> list[str]:
-    """Execute one experiment; returns the list of files written."""
+    """Execute one experiment; returns the list of files written.
+
+    A readout whose training or evaluation raises writes no CSV; the other
+    readouts and the sidecar are still written, and one RuntimeError naming
+    every failed m is raised at the end.
+    """
     _validate(config)
     family = FAMILY_BUILDERS[config.experiment](config)
     lo, hi = LABEL_RANGES[config.experiment]
     grid = np.linspace(lo, hi, config.eval_points)
-    written = []
+    written, failures = [], []
 
     if config.experiment == "analytic":
         for m in config.m:
             path = f"{config.out}_m{m}.csv"
             _write_csv(path, _analytic_rows(config, m, grid))
             written.append(path)
-    elif config.naimark > 0:
-        ma = config.naimark
-        n_tot = config.n + ma
-        base = make_trainset(family, config.train_points, lo, hi)
-        embedded = TrainSet(
-            items=tuple(
-                _embed_item(item, ma) for item in base.items
-            )
-        )
-        emb_family = StateFamily(
-            evaluator=lambda a: _embed_item(family.state(a), ma),
-            alpha_range=family.alpha_range,
-        )
-        circuit = ANSATZ_BUILDERS[config.ansatz](n_tot, config.layers)
-        analytic_m = None
-        if config.experiment == "mixture":
-            analytic_m = lambda a: variance_full(a, config.n, config.r)
-        path = f"{config.out}_naimark{ma}.csv"
-        _write_csv(
-            path,
-            _trained_rows(config, emb_family, circuit, ma, embedded, grid, analytic_m),
-        )
-        written.append(path)
     else:
-        trainset = make_trainset(family, config.train_points, lo, hi)
-        circuit = ANSATZ_BUILDERS[config.ansatz](config.n, config.layers)
-        for m in config.m:
-            analytic_m = None
-            if config.experiment == "mixture":
-                if m == config.n:
-                    analytic_m = lambda a: variance_full(a, config.n, config.r)
-                else:
-                    analytic_m = lambda a, _m=m: variance_partial(a, _m)
-            path = f"{config.out}_m{m}.csv"
-            _write_csv(
-                path,
-                _trained_rows(config, family, circuit, m, trainset, grid, analytic_m),
+        k = config.naimark
+        if k:
+            base = family
+            family = StateFamily(
+                evaluator=lambda a: _embed_item(base.state(a), k),
+                alpha_range=base.alpha_range,
             )
+            # the embedding preserves the model, so the full-basis curve applies
+            readouts = [(f"naimark{k}", k, _closed_form(config, config.n))]
+        else:
+            readouts = [(f"m{m}", m, _closed_form(config, m)) for m in config.m]
+        trainset = make_trainset(family, config.train_points, lo, hi)
+        circuit = ANSATZ_BUILDERS[config.ansatz](config.n + k, config.layers)
+        for suffix, m, closed in readouts:
+            try:
+                rows = _trained_rows(config, family, circuit, m, trainset, grid, closed)
+            except Exception as exc:  # keep the other readouts' results
+                failures.append(f"m={m}: {type(exc).__name__}: {exc}")
+                continue
+            path = f"{config.out}_{suffix}.csv"
+            _write_csv(path, rows)
             written.append(path)
 
     sidecar = f"{config.out}_config.txt"
     _write_sidecar(sidecar, config)
     written.append(sidecar)
+    if failures:
+        raise RuntimeError("readout failed: " + "; ".join(failures))
     return written
 
 
@@ -333,25 +302,18 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_FIELD_PARSERS = {
-    "experiment": str,
-    "n": int,
-    "m": _parse_m,
-    "ansatz": str,
-    "layers": int,
-    "train_points": int,
-    "eval_points": int,
-    "seed": int,
-    "restarts": int,
-    "max_iters": int,
-    "w_ls": float,
-    "w_var": float,
-    "r": float,
-    "eps": float,
-    "w": float,
-    "g": float,
-    "naimark": int,
-    "out": str,
+def _field_parser(f):
+    if f.name == "m":
+        return _parse_m
+    # experiment has no default; every other field parses as its default's type
+    return str if f.default is MISSING else type(f.default)
+
+
+# one parser per ExperimentConfig field, shared by the --flags and config files
+_FIELD_PARSERS = {f.name: _field_parser(f) for f in fields(ExperimentConfig)}
+_FLAG_HELP = {
+    "m": "comma-separated measured-qubit counts, e.g. 1,3,5",
+    "ansatz": "|".join(ANSATZ_BUILDERS),
 }
 
 
@@ -360,40 +322,34 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qvarlab",
         description="Train variance-aware quantum readouts and emit CSV tables.",
     )
-    parser.add_argument("experiment", nargs="?", help="mixture|ising|schwinger|cluster|analytic")
+    parser.add_argument("experiment", nargs="?", help="|".join(FAMILY_BUILDERS))
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--m", help="comma-separated measured-qubit counts, e.g. 1,3,5")
-    parser.add_argument("--ansatz", choices=sorted(ANSATZ_BUILDERS))
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--train-points", type=int, dest="train_points")
-    parser.add_argument("--eval-points", type=int, dest="eval_points")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--restarts", type=int)
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--w-ls", type=float, dest="w_ls")
-    parser.add_argument("--w-var", type=float, dest="w_var")
-    parser.add_argument("--r", type=float)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--w", type=float)
-    parser.add_argument("--g", type=float)
-    parser.add_argument("--naimark", type=int)
-    parser.add_argument("--out")
+    for key in _FIELD_PARSERS:
+        if key != "experiment":
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAG_HELP.get(key))
     return parser
+
+
+def _parse_value(key: str, raw: str):
+    try:
+        return _FIELD_PARSERS[key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {raw!r} for {key}") from exc
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.config:
         for key, raw in _read_config_file(args.config).items():
+            if key == "version":  # written by _write_sidecar, so a sidecar replays
+                continue
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[key] = _FIELD_PARSERS[key](raw)
+            values[key] = _parse_value(key, raw)
     for key in _FIELD_PARSERS:
-        arg = getattr(args, key, None)
-        if arg is None:
-            continue
-        values[key] = _parse_m(arg) if key == "m" else arg
+        raw = getattr(args, key)
+        if raw is not None:
+            values[key] = _parse_value(key, raw)
     if "experiment" not in values:
         raise ConfigError("an experiment name is required")
     return ExperimentConfig(**values)

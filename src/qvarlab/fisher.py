@@ -231,7 +231,6 @@ def bound_chain(
     theta: np.ndarray,
     family: StateFamily,
     alphas: Sequence[float],
-    step: float = PROB_STEP,
     chain_tol: float = CHAIN_TOL,
     on_violation: str = "raise",
 ) -> list[FisherReport]:
@@ -252,17 +251,17 @@ def bound_chain(
     reports = []
     for alpha in alphas:
         alpha = float(alpha)
-        if not family.contains_stencil(alpha, step):
+        if not family.contains_stencil(alpha, PROB_STEP):
             raise ValueError(
                 f"alpha={alpha} too close to the family range boundary for "
-                f"step {step}"
+                f"step {PROB_STEP}"
             )
         flags = []
         st0 = family.state(alpha)
         p0 = outcome_probs(spec_obs, st0)
-        pp = outcome_probs(spec_obs, family.state(alpha + step))
-        pm = outcome_probs(spec_obs, family.state(alpha - step))
-        dp = (pp - pm) / (2.0 * step)
+        pp = outcome_probs(spec_obs, family.state(alpha + PROB_STEP))
+        pm = outcome_probs(spec_obs, family.state(alpha - PROB_STEP))
+        dp = (pp - pm) / (2.0 * PROB_STEP)
 
         mean = p0 @ lam
         var = float(p0 @ lam**2 - mean**2)

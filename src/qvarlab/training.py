@@ -31,6 +31,8 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
 CURVATURE_FLOOR = 1e-10
 WARMUP_MAX_ITERS = 200
+GRAD_STEP = 1e-5
+CONV_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,6 @@ class TrainConfig:
     seed: int = 0
     restarts: int = 5
     max_iters: int = 500
-    grad_step: float = 1e-5
-    conv_tol: float = 1e-7
 
     def __post_init__(self):
         if self.w_ls <= 0:
@@ -84,8 +84,6 @@ class TrainConfig:
             raise ValueError("w_var must be nonnegative")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
-        if self.grad_step <= 0 or self.conv_tol <= 0:
-            raise ValueError("grad_step and conv_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ def _engine_gradient(engine, lambdas, theta, config) -> np.ndarray:
     probabilities of the base point; each theta component resumes from the
     cached snapshot before the first gate reading that slot.
     """
-    h = config.grad_step
+    h = GRAD_STEP
     p0 = engine.probs(theta)
     grad = np.empty(len(lambdas) + len(theta))
     for i in range(len(lambdas)):
@@ -277,7 +275,7 @@ def _quasi_newton(f, g, x0, config, max_iters=None):
     dim = len(x)
     hmat = np.eye(dim)
     first_update = True
-    converged = np.max(np.abs(gx)) < config.conv_tol
+    converged = np.max(np.abs(gx)) < CONV_TOL
     for _ in range(max_iters):
         if converged:
             break
@@ -315,7 +313,7 @@ def _quasi_newton(f, g, x0, config, max_iters=None):
             hmat = v @ hmat @ v.T + rho * np.outer(s, s)
         x, fx, gx = xn, fn, gn
         history.append(fx)
-        converged = np.max(np.abs(gx)) < config.conv_tol
+        converged = np.max(np.abs(gx)) < CONV_TOL
     return x, history, bool(converged)
 
 
@@ -344,7 +342,7 @@ def _warmup_theta(engine, th0, config) -> np.ndarray:
         return _spread(engine.probs(th))
 
     def g(th):
-        h = config.grad_step
+        h = GRAD_STEP
         engine.probs(th)
         grad = np.empty(len(th))
         for s in range(len(th)):

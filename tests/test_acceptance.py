@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qvarlab.circuits import hea, hva_cluster, qcnn
-from qvarlab.fisher import StateFamily, bound_chain, qfi_fidelity, qfi_spectral, sld
-from qvarlab.hamiltonians import cluster, ising, schwinger
+from qvarlab.cli import FAMILY_BUILDERS, ExperimentConfig
+from qvarlab.fisher import bound_chain, qfi_fidelity, qfi_spectral, sld
 from qvarlab.linalg import solve_lyapunov
 from qvarlab.mixture import (
     MixtureModel,
@@ -22,28 +22,12 @@ from qvarlab.mixture import (
     variance_partial,
 )
 from qvarlab.observables import ParamObservable, probabilities
-from qvarlab.states import LabeledState, ground_state
 from qvarlab.training import TrainConfig, make_trainset, train
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _ising_family(n: int) -> StateFamily:
-    def ev(h: float) -> LabeledState:
-        return LabeledState(label=float(h), psi=ground_state(ising(n, h)))
-
-    # range extends past the label window so FD stencils fit at h=0.05 and 2
-    return StateFamily(evaluator=ev, alpha_range=(1e-3, 2.5))
-
-
-def _ground_family(builder, n: int, rng_lo: float, rng_hi: float) -> StateFamily:
-    def ev(x: float) -> LabeledState:
-        return LabeledState(label=float(x), psi=ground_state(builder(n, x)))
-
-    return StateFamily(evaluator=ev, alpha_range=(rng_lo, rng_hi))
 
 
 def _dense(spec) -> np.ndarray:
@@ -222,7 +206,7 @@ def test_criterion_6_ising_training_reproduction():
     # n=3: a two-outcome readout can saturate 1/I_q on the two-dimensional
     # ground family; the variance weight is turned up so the optimizer pins
     # the span restriction to a rank-1 projector (see the decisions ledger)
-    fam3 = _ising_family(3)
+    fam3 = FAMILY_BUILDERS["ising"](ExperimentConfig("ising", n=3))
     ts3 = make_trainset(fam3, 10, 0.05, 2.0)
     c3 = hea(3, 2)
     res3 = train(c3, 1, ts3, TrainConfig(seed=0, restarts=5, max_iters=500, w_var=0.1))
@@ -234,7 +218,7 @@ def test_criterion_6_ising_training_reproduction():
 
     # n=4: the ground family leaves the two-dimensional regime, so the
     # two-outcome readout saturates 1/I_c but visibly not 1/I_q
-    fam4 = _ising_family(4)
+    fam4 = FAMILY_BUILDERS["ising"](ExperimentConfig("ising", n=4))
     ts4 = make_trainset(fam4, 10, 0.05, 2.0)
     c4 = hea(4, 4)
     res41 = train(c4, 1, ts4, TrainConfig(seed=0, restarts=5, max_iters=500))
@@ -261,7 +245,7 @@ def test_criterion_6_ising_training_reproduction():
 
 
 def test_criterion_7_pure_state_observations():
-    fam = _ising_family(3)
+    fam = FAMILY_BUILDERS["ising"](ExperimentConfig("ising", n=3))
     hs = np.linspace(0.05, 2.0, 20)
     stack = np.stack([fam.state(h).psi for h in hs])
     svals = np.linalg.svd(stack, compute_uv=False)
@@ -298,9 +282,9 @@ def test_criterion_7_pure_state_observations():
 def test_criterion_8_appendix_models():
     results = {}
     jobs = [
-        ("schwinger", _ground_family(lambda n, mu: schwinger(n, mu), 8, -2.2, 1.2),
+        ("schwinger", FAMILY_BUILDERS["schwinger"](ExperimentConfig("schwinger", n=8)),
          qcnn(8), (1, 2), (-2.0, 1.0)),
-        ("cluster", _ground_family(lambda n, x: cluster(n, x), 8, -0.2, 1.2),
+        ("cluster", FAMILY_BUILDERS["cluster"](ExperimentConfig("cluster", n=8)),
          qcnn(8), (1, 3), (0.0, 1.0)),
     ]
     for name, fam, circ, ms, (lo, hi) in jobs:
@@ -312,7 +296,7 @@ def test_criterion_8_appendix_models():
             results[name, m] = (sq.mean(), var.mean())
     # the Hamiltonian-variational run backs the cluster figure; it has a
     # single m, so it carries no ordering assertion of its own
-    cf = _ground_family(lambda n, x: cluster(n, x), 8, -0.2, 1.2)
+    cf = FAMILY_BUILDERS["cluster"](ExperimentConfig("cluster", n=8))
     hva = hva_cluster(8, 10)
     res = train(hva, 3, make_trainset(cf, 10, 0.0, 1.0), TrainConfig(seed=0, restarts=5, max_iters=500))
     hva_sq, hva_var = _mean_curves(hva, 3, res, cf, np.linspace(0.0, 1.0, 41))

@@ -1,9 +1,12 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
 import qvarlab
 from qvarlab import cli
 from qvarlab.cli import CSV_HEADER, ConfigError, ExperimentConfig, main, run
+from qvarlab.fisher import PROB_STEP
 from qvarlab.mixture import qfi_commuting, variance_full, variance_partial
 
 
@@ -191,3 +194,80 @@ def test_naimark_run_writes_single_file(tmp_path):
         # the embedding preserves the model, so the full-basis curve applies
         assert abs(row["analytic_variance"] - variance_full(row["alpha"], 1, 0.25)) < 1e-14
     assert rows[1]["inv_cfi"] is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--n", "3", "--m", "1,3", "--r", "0.3", "--eval-points", "5"],
+    ["mixture", "--n", "2", "--m", "1,2", "--layers", "1", "--train-points", "3",
+     "--eval-points", "3", "--restarts", "1", "--max-iters", "3", "--seed", "4"],
+])
+def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert main(["--config", str(tmp_path / "a_config.txt"), "--out", str(tmp_path / "b")]) == 0
+    first = sorted(tmp_path.glob("a_*.csv"))
+    assert first
+    for path in first:
+        assert path.read_bytes() == (tmp_path / path.name.replace("a_", "b_", 1)).read_bytes()
+
+
+def _other_value(f):
+    """A non-default value for one ExperimentConfig field, as text and parsed."""
+    if f.name == "m":
+        return "2,3", (2, 3)
+    default = "" if f.default is MISSING else f.default
+    if isinstance(default, str):
+        return "other", "other"
+    return str(default + 3), default + 3
+
+
+def test_every_config_field_is_settable_by_flag_and_by_file(tmp_path):
+    cfgfile = tmp_path / "one.cfg"
+    for f in fields(ExperimentConfig):
+        raw, value = _other_value(f)
+        if f.name == "experiment":
+            flag_argv = [raw]
+        else:
+            flag_argv = ["analytic", "--" + f.name.replace("_", "-"), raw]
+        cfgfile.write_text(f"experiment=analytic\n{f.name}={raw}\n")
+        file_argv = ["--config", str(cfgfile)]
+        for argv in (flag_argv, file_argv):
+            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            assert getattr(config, f.name) == value
+            others = {g.name for g in fields(ExperimentConfig)} - {f.name, "experiment"}
+            for name in others:
+                assert getattr(config, name) == getattr(ExperimentConfig("analytic"), name)
+
+
+def test_one_failed_readout_keeps_the_others(tmp_path, monkeypatch, capsys):
+    real_train = cli.train
+
+    def train_failing_m1(circuit, m, trainset, config):
+        if m == 1:
+            raise RuntimeError("injected failure")
+        return real_train(circuit, m, trainset, config)
+
+    monkeypatch.setattr(cli, "train", train_failing_m1)
+    out = str(tmp_path / "f")
+    code = main(
+        ["mixture", "--n", "2", "--m", "1,2", "--layers", "1", "--train-points", "3",
+         "--eval-points", "3", "--restarts", "1", "--max-iters", "3", "--out", out]
+    )
+    assert code == 2
+    assert not (tmp_path / "f_m1.csv").exists()
+    assert (tmp_path / "f_m2.csv").exists()
+    assert (tmp_path / "f_config.txt").exists()
+    err = capsys.readouterr().err
+    assert "m=1" in err and "injected failure" in err and "m=2" not in err
+
+
+def test_family_ranges_cover_the_label_windows():
+    assert set(cli.LABEL_RANGES) == set(cli.FAMILY_BUILDERS)
+    for name, (lo, hi) in cli.LABEL_RANGES.items():
+        family = cli.FAMILY_BUILDERS[name](ExperimentConfig(name, n=4))
+        if name in ("mixture", "analytic"):
+            # the mixture is defined on [0, 1] only; its edges are boundary rows
+            assert family.alpha_range == (lo, hi)
+        else:
+            # ground-state windows get Fisher columns at both edges
+            assert family.contains_stencil(lo, PROB_STEP)
+            assert family.contains_stencil(hi, PROB_STEP)

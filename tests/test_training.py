@@ -8,6 +8,7 @@ from qvarlab.observables import ParamObservable
 from qvarlab.states import LabeledState
 from qvarlab.training import (
     _Engine,
+    GRAD_STEP,
     TrainConfig,
     TrainSet,
     gradient,
@@ -55,10 +56,6 @@ def test_trainconfig_validation():
         TrainConfig(restarts=0)
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        TrainConfig(grad_step=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(conv_tol=-1e-7)
 
 
 def test_loss_frozen_deterministic_outcomes():
@@ -137,7 +134,7 @@ def test_lambda_shape_validation():
 
 
 def _naive_gradient(lam, theta, ts, cfg, circuit, m):
-    h = cfg.grad_step
+    h = GRAD_STEP
     out = np.empty(lam.size + theta.size)
     for i in range(lam.size):
         lp, lm = lam.copy(), lam.copy()
