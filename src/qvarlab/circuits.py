@@ -220,6 +220,26 @@ def _apply_gate(
     return (coef @ vecs.T).reshape(shape)
 
 
+def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int, mats):
+    """Validate the inputs, then yield the batch as a (B, 2, ..., 2) tensor:
+    first as given, then after each of gates[start:].
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (circuit.param_count,):
+        raise ValueError(
+            f"theta must have length {circuit.param_count}, got {theta.shape}"
+        )
+    batch = np.atleast_2d(np.asarray(states, dtype=complex))
+    if batch.shape[1] != 2**circuit.n:
+        raise ValueError(f"state dimension {batch.shape[1]} does not match n={circuit.n}")
+    tensor = batch.reshape([len(batch)] + [2] * circuit.n)
+    yield tensor
+    for k in range(start, len(circuit.gates)):
+        mat = None if mats is None else mats[k]
+        tensor = _apply_gate(tensor, circuit.gates[k], theta, circuit.n, mat)
+        yield tensor
+
+
 def apply_circuit(
     circuit: Circuit,
     theta: np.ndarray,
@@ -235,23 +255,10 @@ def apply_circuit(
     theta); callers that evaluate one theta repeatedly pass it to skip
     rebuilding the local matrices.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.param_count,):
-        raise ValueError(
-            f"theta must have length {circuit.param_count}, got {theta.shape}"
-        )
-    states = np.asarray(states, dtype=complex)
-    single = states.ndim == 1
-    batch = np.atleast_2d(states)
-    if batch.shape[1] != 2**circuit.n:
-        raise ValueError(f"state dimension {batch.shape[1]} does not match n={circuit.n}")
-    nb = batch.shape[0]
-    batch = batch.reshape([nb] + [2] * circuit.n)
-    for k in range(start, len(circuit.gates)):
-        mat = None if mats is None else mats[k]
-        batch = _apply_gate(batch, circuit.gates[k], theta, circuit.n, mat)
-    out = batch.reshape(nb, 2**circuit.n)
-    return out[0] if single else out
+    for tensor in _evolve(circuit, theta, states, start, mats):
+        pass
+    out = tensor.reshape(len(tensor), 2**circuit.n)
+    return out[0] if np.ndim(states) == 1 else out
 
 
 def apply_circuit_trace(
@@ -266,20 +273,10 @@ def apply_circuit_trace(
     entry k is the state before gate k, the last entry is the final state.
     mats is as in apply_circuit.
     """
-    theta = np.asarray(theta, dtype=float)
-    batch = np.asarray(states, dtype=complex)
-    nb, d = batch.shape
-    if d != 2**circuit.n:
-        raise ValueError(f"state dimension {d} does not match n={circuit.n}")
-    snaps = [batch.copy()]
-    tensor = batch.reshape([nb] + [2] * circuit.n)
-    for k, gate in enumerate(circuit.gates):
-        mat = None if mats is None else mats[k]
-        tensor = _apply_gate(tensor, gate, theta, circuit.n, mat)
-        # reshape copies a transposed gate output; a contiguous one is a fresh
-        # array already, and no gate writes to its input
-        snaps.append(tensor.reshape(nb, d))
-    return snaps
+    # the input is copied once; reshape copies a transposed gate output, a
+    # contiguous one is a fresh array already, and no gate writes to its input
+    steps = _evolve(circuit, theta, np.array(states, dtype=complex), 0, mats)
+    return [t.reshape(len(t), 2**circuit.n) for t in steps]
 
 
 def unitary(circuit: Circuit, theta: np.ndarray) -> np.ndarray:

@@ -21,10 +21,11 @@ from .hamiltonians import cluster, ising, schwinger
 from .mixture import (
     MixtureModel,
     qfi_commuting,
+    rho1_spectrum,
     variance_full,
     variance_partial,
 )
-from .observables import ParamObservable, naimark_embed, probabilities
+from .observables import ParamObservable, moments, naimark_embed, probabilities
 from .states import LabeledState, ground_state
 from .training import TrainConfig, TrainSet, make_trainset, train
 
@@ -107,11 +108,14 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("cluster needs n >= 3")
     if config.naimark < 0:
         raise ConfigError("naimark ancilla count must be nonnegative")
-    if config.naimark == 0:
+    # a Naimark run reads its ancillas instead; the analytic tables always use m
+    if config.naimark == 0 or config.experiment == "analytic":
         if not config.m:
             raise ConfigError("need at least one m value")
         if any(not 1 <= m <= config.n for m in config.m):
             raise ConfigError(f"m values must lie in 1..{config.n}")
+        if len(set(config.m)) != len(config.m):
+            raise ConfigError(f"m values must not repeat, got {config.m}")
     if config.train_points < 2:
         raise ConfigError("train_points must be at least 2")
     if config.eval_points < 2:
@@ -165,7 +169,7 @@ def _analytic_rows(config: ExperimentConfig, m: int, grid: np.ndarray) -> list[t
     n, r = config.n, config.r
     ana = _closed_form(config, m)
     if m == n:
-        p1 = np.concatenate([[max(r, 1 - r), min(r, 1 - r)], np.zeros(2**n - 2)])
+        p1 = rho1_spectrum(n, r)
     else:
         p1 = np.zeros(2**m)
         p1[0] = 1.0
@@ -206,21 +210,14 @@ def _trained_rows(
     rows = []
     for a in grid:
         a = float(a)
-        state = family.state(a)
-        p = probabilities(obs, result.theta, state)
-        pred = float(p @ result.lambdas)
-        var = float(p @ result.lambdas**2 - pred**2)
+        p = probabilities(obs, result.theta, family.state(a))
+        pred, var = map(float, moments(p, result.lambdas))
         ana = analytic_m(a) if analytic_m is not None else None
         rep = reports.get(a)
-        flags = [f for f in (run_flag,) if f]
-        if rep is None:
-            rows.append((a, pred, (a - pred) ** 2, var, None, None, ana, "+".join(flags + ["boundary"])))
-            continue
-        if rep.flag:
-            flags.extend(rep.flag.split(","))
-        rows.append(
-            (a, pred, (a - pred) ** 2, var, rep.inv_cfi, rep.inv_qfi, ana, "+".join(flags))
-        )
+        # a point without a centred stencil has no Fisher columns
+        icv, iqv, chain = (rep.inv_cfi, rep.inv_qfi, rep.flag) if rep else (None, None, "boundary")
+        flags = [f for f in (run_flag, *chain.split(",")) if f]
+        rows.append((a, pred, (a - pred) ** 2, var, icv, iqv, ana, "+".join(flags)))
     return rows
 
 
@@ -275,7 +272,7 @@ def run(config: ExperimentConfig) -> list[str]:
 
 
 def _embed_item(item: LabeledState, ma: int) -> LabeledState:
-    arr = naimark_embed(item.psi if item.is_pure else item.rho, ma)
+    arr = naimark_embed(item, ma)
     if arr.ndim == 1:
         return LabeledState(label=item.label, psi=arr)
     return LabeledState(label=item.label, rho=arr)

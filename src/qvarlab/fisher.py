@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .observables import ParamObservable, SpectralObservable, matrix
+from .observables import ParamObservable, SpectralObservable, _coerce_state, matrix, moments
 from .states import LabeledState, fidelity
 
 PROB_STEP = 1e-4
@@ -86,9 +87,7 @@ def outcome_probs(projectors, state) -> np.ndarray:
     if isinstance(projectors, SpectralObservable):
         projectors = projectors.projectors
     proj = np.asarray(projectors, dtype=complex)
-    if isinstance(state, LabeledState):
-        state = state.psi if state.is_pure else state.rho
-    state = np.asarray(state, dtype=complex)
+    state = _coerce_state(state)
     if state.ndim == 1:
         p = np.einsum("kij,i,j->k", proj, state.conj(), state).real
     else:
@@ -97,32 +96,35 @@ def outcome_probs(projectors, state) -> np.ndarray:
     return p
 
 
-def _cfi_from_probs(p0: np.ndarray, dp: np.ndarray) -> float:
+def fisher_information(p, dp, floor: float = PROB_FLOOR, slope_tol: float = DPROB_TOL) -> float:
+    """Fisher information sum_k dp_k^2 / p_k of a distribution p with slope dp.
+
+    Entries with p_k below floor are dropped when |dp_k| is below slope_tol;
+    a vanishing p_k with a surviving slope raises, since the true information
+    diverges there.
+    """
     total = 0.0
-    for pi, di in zip(p0, dp):
-        if pi < PROB_FLOOR:
-            if abs(di) < DPROB_TOL:
+    for pk, dk in zip(p, dp):
+        if pk < floor:
+            if abs(dk) < slope_tol:
                 continue
-            raise ValueError(
-                f"classical Fisher information diverges: probability {pi:.3e} "
-                f"with slope {di:.3e}"
-            )
-        total += di * di / pi
+            raise ValueError(f"Fisher information diverges: weight {pk:.3e} with slope {dk:.3e}")
+        total += dk * dk / pk
     return total
 
 
-def cfi(family: StateFamily, projectors, alpha: float, step: float = PROB_STEP) -> float:
-    """Classical Fisher information sum_i (d_alpha p_i)^2 / p_i by central FD.
+def _label_slope(family: StateFamily, alpha: float, of_state: Callable) -> np.ndarray:
+    """Central FD in alpha, step PROB_STEP, of of_state(family.state(alpha))."""
+    fp = of_state(family.state(alpha + PROB_STEP))
+    return (fp - of_state(family.state(alpha - PROB_STEP))) / (2.0 * PROB_STEP)
 
-    Outcomes with probability below 1e-12 and slope below 1e-8 are dropped;
-    a vanishing probability with a surviving slope raises, since the true
-    information diverges there.
+
+def cfi(family: StateFamily, projectors, alpha: float) -> float:
+    """Classical Fisher information sum_i (d_alpha p_i)^2 / p_i by central FD
+    with step PROB_STEP; see fisher_information for vanishing outcomes.
     """
-    p0 = outcome_probs(projectors, family.state(alpha))
-    pp = outcome_probs(projectors, family.state(alpha + step))
-    pm = outcome_probs(projectors, family.state(alpha - step))
-    dp = (pp - pm) / (2.0 * step)
-    return _cfi_from_probs(p0, dp)
+    probs = partial(outcome_probs, projectors)
+    return fisher_information(probs(family.state(alpha)), _label_slope(family, alpha, probs))
 
 
 def cfi_mixture_closed(alpha: float, p1, p2) -> float:
@@ -133,19 +135,7 @@ def cfi_mixture_closed(alpha: float, p1, p2) -> float:
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape:
         raise ValueError("p1 and p2 must have equal length")
-    total = 0.0
-    for a, b in zip(p1, p2):
-        den = alpha * a + (1.0 - alpha) * b
-        num = (a - b) ** 2
-        if den < PROB_FLOOR:
-            if num < DPROB_TOL**2:
-                continue
-            raise ValueError(
-                f"closed-form CFI diverges: mixture probability {den:.3e} "
-                f"with difference {a - b:.3e}"
-            )
-        total += num / den
-    return total
+    return fisher_information(alpha * p1 + (1.0 - alpha) * p2, p1 - p2)
 
 
 def qfi_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -220,10 +210,7 @@ def _family_qfi(family: StateFamily, state0: LabeledState, alpha: float) -> floa
     if state0.is_pure:
         dpsi = _fd_dpsi(family, alpha, PSI_STEP)
         return qfi_pure(state0.psi, dpsi)
-    rp = family.state(alpha + PROB_STEP).rho
-    rm = family.state(alpha - PROB_STEP).rho
-    drho = (rp - rm) / (2.0 * PROB_STEP)
-    return qfi_spectral(state0.rho, drho)
+    return qfi_spectral(state0.rho, _label_slope(family, alpha, lambda st: st.rho))
 
 
 def bound_chain(
@@ -231,7 +218,6 @@ def bound_chain(
     theta: np.ndarray,
     family: StateFamily,
     alphas: Sequence[float],
-    chain_tol: float = CHAIN_TOL,
     on_violation: str = "raise",
 ) -> list[FisherReport]:
     """Adjusted variance, 1/CFI and 1/QFI for every grid point.
@@ -239,7 +225,7 @@ def bound_chain(
     Grid points must be interior to the family range by at least the FD step.
     A slope |d<M>/d alpha| below 1e-10 leaves the adjusted variance undefined
     (reported as inf with a zero-slope flag). Ordering violations beyond
-    chain_tol raise a ChainViolationError, and a diverging classical Fisher
+    CHAIN_TOL raise a ChainViolationError, and a diverging classical Fisher
     information raises the ValueError of cfi. With on_violation="flag" both
     mark the report's flag instead; a divergent point reports inv_cfi = 0.0
     under a cfi-divergent flag and skips the ordering check.
@@ -248,6 +234,7 @@ def bound_chain(
         raise ValueError("on_violation must be 'raise' or 'flag'")
     spec_obs = matrix(obs, theta)
     lam = spec_obs.lambdas
+    probs = partial(outcome_probs, spec_obs)
     reports = []
     for alpha in alphas:
         alpha = float(alpha)
@@ -258,13 +245,10 @@ def bound_chain(
             )
         flags = []
         st0 = family.state(alpha)
-        p0 = outcome_probs(spec_obs, st0)
-        pp = outcome_probs(spec_obs, family.state(alpha + PROB_STEP))
-        pm = outcome_probs(spec_obs, family.state(alpha - PROB_STEP))
-        dp = (pp - pm) / (2.0 * PROB_STEP)
+        p0 = probs(st0)
+        dp = _label_slope(family, alpha, probs)
 
-        mean = p0 @ lam
-        var = float(p0 @ lam**2 - mean**2)
+        var = float(moments(p0, lam)[1])
         slope = float(dp @ lam)
         if abs(slope) < SLOPE_FLOOR:
             adjusted = float("inf")
@@ -273,7 +257,7 @@ def bound_chain(
             adjusted = var / slope**2
 
         try:
-            ic = _cfi_from_probs(p0, dp)
+            ic = fisher_information(p0, dp)
         except ValueError:
             if on_violation == "raise":
                 raise
@@ -283,7 +267,7 @@ def bound_chain(
         iq = _family_qfi(family, st0, alpha)
         inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
 
-        out_of_order = (adjusted < inv_cfi - chain_tol) or (inv_cfi < inv_qfi - chain_tol)
+        out_of_order = (adjusted < inv_cfi - CHAIN_TOL) or (inv_cfi < inv_qfi - CHAIN_TOL)
         if out_of_order and "cfi-divergent" not in flags:
             msg = (
                 f"bound chain violated at alpha={alpha}: adjusted={adjusted:.9g}, "

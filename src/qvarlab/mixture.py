@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import linalg
-from .fisher import StateFamily, cfi_mixture_closed, qfi_spectral
+from .fisher import StateFamily, cfi_mixture_closed, fisher_information, qfi_spectral
 from .observables import SpectralObservable
 from .states import LabeledState, ghz, mixture_state, rank2_state
 
@@ -84,6 +84,11 @@ def qfi_half_closed(n: int, r: float) -> float:
     return 4.0 - 8.0 * (r - 1.0) / (d * (r - 1.0) - 1.0) - 8.0 * r / (d * r + 1.0)
 
 
+def rho1_spectrum(n: int, r: float) -> np.ndarray:
+    """Eigenvalues of rho1 in descending order: the signal pair, then zeros."""
+    return np.concatenate([[max(r, 1 - r), min(r, 1 - r)], np.zeros(2**n - 2)])
+
+
 def qfi_commuting(alpha: float, n: int, r: float) -> float:
     """QFI along the mixture path from its eigenvalue flow, sum (dl_i)^2/l_i.
 
@@ -91,22 +96,9 @@ def qfi_commuting(alpha: float, n: int, r: float) -> float:
     alpha -> 1 when the kernel of rho1 closes, so alpha = 1 is rejected.
     """
     d = 2**n
-    lams = np.array(
-        [alpha * r + (1 - alpha) / d, alpha * (1 - r) + (1 - alpha) / d]
-        + [(1 - alpha) / d] * (d - 2)
-    )
-    dlams = np.array([r - 1 / d, (1 - r) - 1 / d] + [-1 / d] * (d - 2))
-    total = 0.0
-    for l, dl in zip(lams, dlams):
-        if l < EIG_FLOOR:
-            if abs(dl) < SLOPE_TOL:
-                continue
-            raise ValueError(
-                f"QFI diverges at alpha={alpha}: eigenvalue {l:.3e} with "
-                f"slope {dl:.3e}"
-            )
-        total += dl * dl / l
-    return total
+    p = rho1_spectrum(n, r)
+    lams = alpha * p + (1 - alpha) / d
+    return fisher_information(lams, p - 1 / d, floor=EIG_FLOOR, slope_tol=SLOPE_TOL)
 
 
 def qfi_alpha_printed(
@@ -142,7 +134,7 @@ def optimal_eigenvalues_full(n: int, r: float) -> np.ndarray:
     """
     d = 2**n
     iq = qfi_half_closed(n, r)
-    p = np.concatenate([[max(r, 1 - r), min(r, 1 - r)], np.zeros(d - 2)])
+    p = rho1_spectrum(n, r)
     return 0.5 + (2.0 / iq) * (p - 1 / d) / (p + 1 / d)
 
 

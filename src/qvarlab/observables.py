@@ -98,16 +98,19 @@ def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:
     return p
 
 
+def moments(p: np.ndarray, lambdas: np.ndarray):
+    """Readout mean and variance <M^2> - <M>^2; p may stack distributions as rows."""
+    mean = p @ lambdas
+    return mean, p @ lambdas**2 - mean**2
+
+
 def expectation(obs: ParamObservable, theta: np.ndarray, state) -> float:
-    p = probabilities(obs, theta, state)
-    return float(p @ obs.lambdas)
+    return float(moments(probabilities(obs, theta, state), obs.lambdas)[0])
 
 
 def variance(obs: ParamObservable, theta: np.ndarray, state) -> float:
     """<M^2> - <M>^2 for the represented observable in the given state."""
-    p = probabilities(obs, theta, state)
-    mean = p @ obs.lambdas
-    return float(p @ obs.lambdas**2 - mean**2)
+    return float(moments(probabilities(obs, theta, state), obs.lambdas)[1])
 
 
 def matrix(obs: ParamObservable, theta: np.ndarray) -> SpectralObservable:
@@ -127,10 +130,7 @@ def naimark_embed(state, n_ancilla: int):
     if n_ancilla < 1:
         raise ValueError("need at least one ancilla")
     arr = _coerce_state(state)
-    if arr.ndim == 1:
-        anc = np.zeros(2**n_ancilla, dtype=complex)
-        anc[0] = 1.0
-        return linalg.kron(arr, anc)
-    anc_rho = np.zeros((2**n_ancilla, 2**n_ancilla), dtype=complex)
-    anc_rho[0, 0] = 1.0
-    return linalg.kron(arr, anc_rho)
+    # |0...0> as a vector or as a density matrix, matching the state
+    anc = np.zeros((2**n_ancilla,) * arr.ndim, dtype=complex)
+    anc[(0,) * arr.ndim] = 1.0
+    return linalg.kron(arr, anc)

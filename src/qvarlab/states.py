@@ -135,14 +135,16 @@ def mixture_state(alpha: float, rho1: np.ndarray, rho2: np.ndarray) -> np.ndarra
     return alpha * rho1 + (1.0 - alpha) * rho2
 
 
+def _sqrt_spectrum(values: np.ndarray) -> np.ndarray:
+    """Square roots of a PSD spectrum clipped at 0; below EIGENVALUE_CLIP raises."""
+    if values.min() < EIGENVALUE_CLIP:
+        raise ValueError(f"negative eigenvalue beyond tolerance: {values.min():.3e}")
+    return np.sqrt(np.clip(values, 0.0, None))
+
+
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     es = linalg.herm_eig(linalg.hermitianize(rho), tol=1e-10)
-    if es.values.min() < EIGENVALUE_CLIP:
-        raise ValueError(
-            f"negative eigenvalue beyond tolerance: {es.values.min():.3e}"
-        )
-    vals = np.sqrt(np.clip(es.values, 0.0, None))
-    return (es.vectors * vals) @ es.vectors.conj().T
+    return (es.vectors * _sqrt_spectrum(es.values)) @ es.vectors.conj().T
 
 
 def fidelity(rho: np.ndarray, tau: np.ndarray) -> float:
@@ -157,23 +159,20 @@ def fidelity(rho: np.ndarray, tau: np.ndarray) -> float:
         raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
     s = _psd_sqrt(rho)
     inner = linalg.hermitianize(s @ linalg.hermitianize(tau) @ s)
-    vals = np.linalg.eigvalsh(inner)
-    if vals.min() < EIGENVALUE_CLIP:
-        raise ValueError(f"negative eigenvalue beyond tolerance: {vals.min():.3e}")
-    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+    return float(np.sum(_sqrt_spectrum(np.linalg.eigvalsh(inner))))
 
 
-def _check_gap(values: np.ndarray, gap_tol: float) -> None:
-    if len(values) > 1 and values[1] - values[0] < gap_tol:
+def _check_gap(values: np.ndarray) -> None:
+    if len(values) > 1 and values[1] - values[0] < GAP_TOL:
         warnings.warn(
-            f"ground space is degenerate within {gap_tol:.1e} "
+            f"ground space is degenerate within {GAP_TOL:.1e} "
             f"(gap {values[1] - values[0]:.3e})",
             DegenerateGroundSpaceWarning,
             stacklevel=3,
         )
 
 
-def ground_state(h: np.ndarray, gap_tol: float = GAP_TOL) -> np.ndarray:
+def ground_state(h: np.ndarray) -> np.ndarray:
     """Lowest eigenvector of a Hermitian matrix, phase-fixed.
 
     A matrix of even size that commutes with the global spin flip X^{(x)n},
@@ -182,7 +181,7 @@ def ground_state(h: np.ndarray, gap_tol: float = GAP_TOL) -> np.ndarray:
     upper-right block of h, the even and odd sectors are the d/2-wide
     Hermitian matrices A + B J and A - B J (J reverses the columns). Both are
     eigensolved, and the lower sector's ground vector x is returned as
-    [x, +-x[::-1]]/sqrt(2). Sector energies within gap_tol of each other
+    [x, +-x[::-1]]/sqrt(2). Sector energies within GAP_TOL of each other
     select the even sector: the Ising ring at even n, near-degenerate at
     small field, has an even ground state exactly, since conjugating by the
     product of Z makes it stoquastic. Any other matrix (for example the
@@ -190,20 +189,20 @@ def ground_state(h: np.ndarray, gap_tol: float = GAP_TOL) -> np.ndarray:
 
     A DegenerateGroundSpaceWarning is emitted when the two lowest eigenvalues
     of the matrix solved (the whole matrix or the chosen sector) are closer
-    than gap_tol; the lowest-index eigenvector is still returned.
+    than GAP_TOL; the lowest-index eigenvector is still returned.
     """
     h = linalg.as_matrix(h)
     d = len(h)
     if d % 2 or not np.array_equal(h[::-1, ::-1], h):
         es = linalg.herm_eig(h)
-        _check_gap(es.values, gap_tol)
+        _check_gap(es.values)
         return es.vectors[:, 0].copy()
     h = linalg.hermitianize(linalg.require_hermitian(h))
     a = h[: d // 2, : d // 2]
     bj = h[: d // 2, d // 2 :][:, ::-1]
     even, odd = linalg.herm_eig(a + bj), linalg.herm_eig(a - bj)
-    sign, es = (1.0, even) if even.values[0] < odd.values[0] + gap_tol else (-1.0, odd)
-    _check_gap(es.values, gap_tol)
+    sign, es = (1.0, even) if even.values[0] < odd.values[0] + GAP_TOL else (-1.0, odd)
+    _check_gap(es.values)
     x = es.vectors[:, 0]
     psi = np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0)
     return linalg._fix_phases(psi[:, None])[:, 0]

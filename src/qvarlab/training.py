@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuits import Circuit, apply_circuit, apply_circuit_trace, gate_matrices, gate_matrix
 from .fisher import StateFamily
-from .observables import ensemble_outcomes
+from .observables import ensemble_outcomes, moments
 from .states import Ensemble, LabeledState
 
 ARMIJO_C1 = 1e-4
@@ -187,8 +187,7 @@ class _Engine:
 def _loss_terms(
     probs: np.ndarray, labels: np.ndarray, lambdas: np.ndarray, config: TrainConfig
 ) -> float:
-    pred = probs @ lambdas
-    var = probs @ lambdas**2 - pred**2
+    pred, var = moments(probs, lambdas)
     ls = np.sum((labels - pred) ** 2)
     return float(config.w_ls * ls + config.w_var * np.sum(var))
 
@@ -197,16 +196,35 @@ def _engine_loss(engine, lambdas, theta, config) -> float:
     return _loss_terms(engine.probs(theta), engine.labels, lambdas, config)
 
 
+def _theta_gradient(engine, theta, objective) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities at theta and the central-FD theta gradient of objective(probs).
+
+    One full evaluation at theta, then two probes per component, each
+    resuming from the cached snapshot before the first gate reading that slot.
+    """
+    h = GRAD_STEP
+    p0 = engine.probs(theta)
+    grad = np.empty(len(theta))
+    for s in range(len(theta)):
+        fp = objective(engine.probs_shift(s, theta[s] + h))
+        fm = objective(engine.probs_shift(s, theta[s] - h))
+        grad[s] = (fp - fm) / (2.0 * h)
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite objective encountered during gradient")
+    return p0, grad
+
+
 def _engine_gradient(engine, lambdas, theta, config) -> np.ndarray:
     """Central FD over the concatenated (lambda, theta) vector.
 
     Probabilities do not depend on lambda, so the lambda block reuses the
-    probabilities of the base point; each theta component resumes from the
-    cached snapshot before the first gate reading that slot.
+    probabilities of the base point.
     """
     h = GRAD_STEP
-    p0 = engine.probs(theta)
-    grad = np.empty(len(lambdas) + len(theta))
+    p0, grad_theta = _theta_gradient(
+        engine, theta, lambda p: _loss_terms(p, engine.labels, lambdas, config)
+    )
+    grad = np.empty(len(lambdas))
     for i in range(len(lambdas)):
         lp = np.array(lambdas, copy=True)
         lm = np.array(lambdas, copy=True)
@@ -215,17 +233,15 @@ def _engine_gradient(engine, lambdas, theta, config) -> np.ndarray:
         fp = _loss_terms(p0, engine.labels, lp, config)
         fm = _loss_terms(p0, engine.labels, lm, config)
         grad[i] = (fp - fm) / (2.0 * h)
-    for s in range(len(theta)):
-        fp = _loss_terms(
-            engine.probs_shift(s, theta[s] + h), engine.labels, lambdas, config
-        )
-        fm = _loss_terms(
-            engine.probs_shift(s, theta[s] - h), engine.labels, lambdas, config
-        )
-        grad[len(lambdas) + s] = (fp - fm) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite loss encountered during gradient")
-    return grad
+    return np.concatenate([grad, grad_theta])
+
+
+def _public_engine(lambdas, theta, trainset, circuit, m):
+    """Checked (engine, lambdas, theta) for the one-shot loss and gradient."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.shape != (2**m,):
+        raise ValueError(f"lambdas must have length {2**m}")
+    return _Engine(circuit, m, trainset), lambdas, np.asarray(theta, dtype=float)
 
 
 def loss(
@@ -237,10 +253,7 @@ def loss(
     m: int,
 ) -> float:
     """Objective w_ls * sum_j (label_j - <M>_j)^2 + w_var * sum_j Var_j."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (2**m,):
-        raise ValueError(f"lambdas must have length {2**m}")
-    return _engine_loss(_Engine(circuit, m, trainset), lambdas, np.asarray(theta, dtype=float), config)
+    return _engine_loss(*_public_engine(lambdas, theta, trainset, circuit, m), config)
 
 
 def gradient(
@@ -252,12 +265,7 @@ def gradient(
     m: int,
 ) -> np.ndarray:
     """Central-FD gradient of loss over the concatenated (lambda, theta)."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (2**m,):
-        raise ValueError(f"lambdas must have length {2**m}")
-    return _engine_gradient(
-        _Engine(circuit, m, trainset), lambdas, np.asarray(theta, dtype=float), config
-    )
+    return _engine_gradient(*_public_engine(lambdas, theta, trainset, circuit, m), config)
 
 
 def _quasi_newton(f, g, x0, config, max_iters=None):
@@ -342,16 +350,7 @@ def _warmup_theta(engine, th0, config) -> np.ndarray:
         return _spread(engine.probs(th))
 
     def g(th):
-        h = GRAD_STEP
-        engine.probs(th)
-        grad = np.empty(len(th))
-        for s in range(len(th)):
-            fp = _spread(engine.probs_shift(s, th[s] + h))
-            fm = _spread(engine.probs_shift(s, th[s] - h))
-            grad[s] = (fp - fm) / (2.0 * h)
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError("non-finite spread encountered during warmup")
-        return grad
+        return _theta_gradient(engine, th, _spread)[1]
 
     th, _, _ = _quasi_newton(f, g, th0, config, max_iters=min(WARMUP_MAX_ITERS, config.max_iters))
     return th

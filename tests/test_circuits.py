@@ -181,6 +181,16 @@ def test_apply_circuit_with_precomputed_matrices_is_bitwise_equal(circuit):
     assert resumed.tobytes() == full.tobytes()
 
 
+def test_apply_circuit_and_trace_reject_wrong_theta_length():
+    c = qc.hea(2, 1)
+    batch = np.eye(4, dtype=complex)
+    for theta in (np.zeros(c.param_count - 1), np.zeros(c.param_count + 1)):
+        with pytest.raises(ValueError, match="theta must have length"):
+            qc.apply_circuit(c, theta, batch)
+        with pytest.raises(ValueError, match="theta must have length"):
+            qc.apply_circuit_trace(c, theta, batch)
+
+
 def test_apply_circuit_accepts_empty_batch():
     # a white-noise state has no pure rows, so its batch is (0, 2**n)
     c = qc.hea(3, 1)

@@ -99,6 +99,9 @@ def test_exit_code_one_on_config_errors(tmp_path):
     assert main(["schwinger", "--n", "3", "--out", out]) == 1
     assert main(["--out", out]) == 1  # no experiment anywhere
     assert main(["analytic", "--train-points", "1", "--out", out]) == 1
+    assert main(["analytic", "--n", "2", "--m", "1,1", "--out", out]) == 1
+    assert main(["analytic", "--n", "2", "--naimark", "1", "--m", "7", "--out", out]) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_exit_code_zero_on_help():
@@ -140,6 +143,10 @@ def test_config_file_rejects_bad_lines(tmp_path):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("experiment=analytic\nwarp_factor=9\n")
     assert main(["--config", str(unknown)]) == 1
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text(f"experiment=analytic\nn=2\nm=1,1\nout={tmp_path / 'r'}\n")
+    assert main(["--config", str(repeated)]) == 1
+    assert not (tmp_path / "r_m1.csv").exists()
 
 
 def test_parse_m():

@@ -245,16 +245,17 @@ def test_bound_chain_boundary_and_mode_validation():
         bound_chain(obs, np.zeros(5), fam, [0.5], on_violation="ignore")
 
 
-def test_bound_chain_flag_mode_marks_instead_of_raising():
+def test_bound_chain_flag_mode_marks_instead_of_raising(monkeypatch):
     fam = MixtureModel(3, 0.25).family()
     rng = np.random.default_rng(3)
     c = qc.hea(3, 2)
     obs = ParamObservable(c, 1, np.array([0.0, 1.0]))
     theta = rng.uniform(0, 2 * np.pi, c.param_count)
     # an impossible tolerance forces the violation path without a real defect
+    monkeypatch.setattr(fisher, "CHAIN_TOL", -10.0)
     with pytest.raises(ChainViolationError):
-        bound_chain(obs, theta, fam, [0.5], chain_tol=-10.0)
-    reports = bound_chain(obs, theta, fam, [0.5], chain_tol=-10.0, on_violation="flag")
+        bound_chain(obs, theta, fam, [0.5])
+    reports = bound_chain(obs, theta, fam, [0.5], on_violation="flag")
     assert "chain-violation" in reports[0].flag
 
 

@@ -8,6 +8,8 @@ from qvarlab.observables import ParamObservable
 from qvarlab.states import LabeledState
 from qvarlab.training import (
     _Engine,
+    _spread,
+    _theta_gradient,
     GRAD_STEP,
     TrainConfig,
     TrainSet,
@@ -133,9 +135,21 @@ def test_lambda_shape_validation():
         gradient(np.ones(3), np.array([]), BASIS_TS, cfg, ID1, 1)
 
 
+def _naive_theta_gradient(f, theta):
+    # central differences of f, each probe a fresh full-circuit evaluation
+    h = GRAD_STEP
+    out = np.empty(theta.size)
+    for s in range(theta.size):
+        tp, tm = theta.copy(), theta.copy()
+        tp[s] += h
+        tm[s] -= h
+        out[s] = (f(tp) - f(tm)) / (2 * h)
+    return out
+
+
 def _naive_gradient(lam, theta, ts, cfg, circuit, m):
     h = GRAD_STEP
-    out = np.empty(lam.size + theta.size)
+    out = np.empty(lam.size)
     for i in range(lam.size):
         lp, lm = lam.copy(), lam.copy()
         lp[i] += h
@@ -143,18 +157,13 @@ def _naive_gradient(lam, theta, ts, cfg, circuit, m):
         out[i] = (
             loss(lp, theta, ts, cfg, circuit, m) - loss(lm, theta, ts, cfg, circuit, m)
         ) / (2 * h)
-    for s in range(theta.size):
-        tp, tm = theta.copy(), theta.copy()
-        tp[s] += h
-        tm[s] -= h
-        out[lam.size + s] = (
-            loss(lam, tp, ts, cfg, circuit, m) - loss(lam, tm, ts, cfg, circuit, m)
-        ) / (2 * h)
-    return out
+    grad_theta = _naive_theta_gradient(lambda th: loss(lam, th, ts, cfg, circuit, m), theta)
+    return np.concatenate([out, grad_theta])
 
 
 def test_gradient_bitwise_matches_naive_probes():
-    # the snapshot cache must not change a single bit of the FD gradient
+    # the snapshot cache must not change a single bit of the FD gradient of
+    # either objective: the loss and the warmup spread
     rng = np.random.default_rng(21)
     cfg = TrainConfig(w_var=0.3)
     fam = MixtureModel(2, 0.25).family()
@@ -171,6 +180,9 @@ def test_gradient_bitwise_matches_naive_probes():
         lam = rng.normal(size=2)
         fast = gradient(lam, theta, ts, cfg, c, 1)
         slow = _naive_gradient(lam, theta, ts, cfg, c, 1)
+        assert np.array_equal(fast, slow)
+        _, fast = _theta_gradient(_Engine(c, 1, ts), theta, _spread)
+        slow = _naive_theta_gradient(lambda th: _spread(_Engine(c, 1, ts).probs(th)), theta)
         assert np.array_equal(fast, slow)
 
 
