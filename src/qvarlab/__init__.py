@@ -10,7 +10,9 @@ least-squares training of measurement eigenvalues and circuit angles
 
 __version__ = "0.1.0"
 
-from . import circuits, cli, fisher, hamiltonians, linalg, mixture, observables, states, training
+# cli is not imported here: `python -m qvarlab.cli` runs it as __main__, and an
+# eager import would load a second copy first
+from . import circuits, fisher, hamiltonians, linalg, mixture, observables, states, training
 from .circuits import Circuit, apply_circuit, hea, hva_cluster, make_circuit, qcnn, unitary
 from .fisher import FisherReport, StateFamily, bound_chain, cfi, qfi_fidelity, qfi_spectral
 from .mixture import MixtureModel, optimal_observable_matrix, variance_full, variance_partial

@@ -7,19 +7,21 @@ list order: the first gate in the list acts on the state first, i.e. it is the
 rightmost factor of the overall unitary.
 
 Rotation conventions:
-  rx/rz and the two-qubit rxx/ryy/rzz implement exp(-i theta P) for the named
-  Pauli string (no half angle). u3(theta, phi, lam) composes
-  R_Z(phi) R_Y(theta) R_Z(lam) in the half-angle convention, and cu3 applies a
-  u3 on the target controlled on the first qubit of the pair. The sum gates
-  exponentiate a whole translation-invariant generator at once.
+  every rotation kind implements exp(-i theta P) = cos(theta) I - i sin(theta) P
+  (no half angle) for the Pauli string P that ROTATIONS names. The sum gates
+  have no targets: their string's terms on the ring positions (i, i+1, ...)
+  mod n commute, so exp(-i theta sum_i P_i) is the product of the per-position
+  rotations. u3(theta, phi, lam) composes R_Z(phi) R_Y(theta) R_Z(lam) in the
+  half-angle convention, and cu3 applies a u3 on the target controlled on the
+  first qubit of the pair.
 
 Kernel: a state batch is a (B, 2, ..., 2) tensor, axis q holding qubit q. A
-one- or two-qubit gate is one BLAS matrix product: the target axes are moved
-last by a transpose (its axis plan cached per target tuple and rank), the
-tensor is flattened to (rows, 2 or 4) and multiplied by the transposed local
-matrix, and the axes are moved back. Sum gates are two products with their
-cached eigenbasis. Callers that evaluate one theta many times build the local
-matrices once with gate_matrices and pass them in.
+local matrix on k target qubits is one BLAS matrix product: the target axes
+are moved last by a transpose (its axis plan cached per target tuple and
+rank), the tensor is flattened to (rows, 2**k) and multiplied by the
+transposed local matrix, and the axes are moved back. A sum gate makes one
+such product per ring position. Callers that evaluate one theta many times
+build the local matrices once with gate_matrices and pass them in.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .hamiltonians import PauliString, pauli_sum
+from .hamiltonians import PAULI
 
 GATE_QUBITS = {
     "rx": 1,
@@ -55,6 +57,18 @@ GATE_SLOTS = {
     "sumx": 1,
     "sumz": 1,
     "sumzxz": 1,
+}
+# the Pauli string each rotation kind exponentiates; a sum gate applies its
+# string at every ring position of the register
+ROTATIONS = {
+    "rx": "X",
+    "rz": "Z",
+    "rzz": "ZZ",
+    "rxx": "XX",
+    "ryy": "YY",
+    "sumx": "X",
+    "sumz": "Z",
+    "sumzxz": "ZXZ",
 }
 
 
@@ -86,6 +100,8 @@ def _validate_circuit(n: int, gates: Sequence[Gate], param_count: int) -> None:
             raise ValueError(f"gate targets {g.qubits} outside 1..{n}")
         if len(set(g.qubits)) != len(g.qubits):
             raise ValueError(f"repeated target in {g.qubits}")
+        if not g.qubits and len(ROTATIONS[g.name]) > n:
+            raise ValueError(f"{g.name} needs at least {len(ROTATIONS[g.name])} qubits")
         if any(not 0 <= s < param_count for s in g.slots):
             raise ValueError(f"slot indices {g.slots} outside 0..{param_count - 1}")
 
@@ -113,54 +129,27 @@ def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-_XX = np.array(
-    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
-)
-_YY = np.array(
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
-)
+def _rotation_basis(string: str) -> np.ndarray:
+    """I and -iP as the two rows of a (2, 4**k) array, P the string's matrix."""
+    p = linalg.kron([PAULI[c] for c in string])
+    return np.stack([np.eye(len(p)), -1j * p]).reshape(2, -1)
 
 
-@lru_cache(maxsize=None)
-def _sum_generator_eig(name: str, n: int):
-    """Cached eigendecomposition of a translation-invariant sum generator."""
-    if name == "sumx":
-        strings = [PauliString(n, {q: "X"}) for q in range(1, n + 1)]
-    elif name == "sumz":
-        strings = [PauliString(n, {q: "Z"}) for q in range(1, n + 1)]
-    elif name == "sumzxz":
-        strings = []
-        for i in range(1, n + 1):
-            j = i % n + 1
-            k = j % n + 1
-            strings.append(PauliString(n, {i: "Z", j: "X", k: "Z"}))
-    else:
-        raise ValueError(f"unknown sum generator {name!r}")
-    es = linalg.herm_eig(pauli_sum(strings))
-    return es.values, es.vectors
+_ROTATION_BASIS = {name: _rotation_basis(string) for name, string in ROTATIONS.items()}
 
 
 def gate_matrix(gate: Gate, params: np.ndarray) -> np.ndarray:
-    """Local 2x2 or 4x4 matrix of a one- or two-qubit gate.
+    """Local matrix of a gate on its targets, or of one ring term of a sum gate.
 
-    Sum gates have no local matrix; _apply_gate runs them through their
-    cached eigenbasis.
+    A rotation is (cos theta, sin theta) times its basis rows, reshaped: the
+    entries are cos(theta) I - i sin(theta) P, exact since P holds 0 and +-1.
     """
-    angles = [float(params[s]) for s in gate.slots]
     name = gate.name
-    if name in ("rx", "rz", "rzz", "rxx", "ryy"):
-        (theta,) = angles
-        c, s = np.cos(theta), np.sin(theta)
-        if name == "rx":
-            return np.array([[c, -1j * s], [-1j * s, c]])
-        if name == "rz":
-            return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-        if name == "rzz":
-            e_m, e_p = c - 1j * s, c + 1j * s
-            return np.diag([e_m, e_p, e_p, e_m]).astype(complex)
-        if name == "rxx":
-            return np.eye(4, dtype=complex) * c - 1j * s * _XX
-        return np.eye(4, dtype=complex) * c - 1j * s * _YY
+    if name in ROTATIONS:
+        theta = float(params[gate.slots[0]])
+        k = 2 ** len(ROTATIONS[name])
+        return np.dot((np.cos(theta), np.sin(theta)), _ROTATION_BASIS[name]).reshape(k, k)
+    angles = [float(params[s]) for s in gate.slots]
     if name == "u3":
         return _u3_matrix(*angles)
     if name == "cu3":
@@ -182,7 +171,7 @@ def _axis_plan(qubits: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tup
 
 
 def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Apply a 1- or 2-qubit matrix to batch axes; batch shape (B, 2, ..., 2).
+    """Apply a k-qubit matrix to batch axes; batch shape (B, 2, ..., 2).
 
     One zgemm on the target axes moved last. The operands, their layout and
     the call are those np.tensordot builds, so the floats are the same;
@@ -194,9 +183,9 @@ def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) ->
     return out.reshape(moved.shape).transpose(inv)
 
 
-def gate_matrices(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
-    """Local matrix of every gate at theta; None for sum gates."""
-    return [gate_matrix(g, theta) if g.qubits else None for g in circuit.gates]
+def gate_matrices(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray]:
+    """Local matrix of every gate at theta."""
+    return [gate_matrix(g, theta) for g in circuit.gates]
 
 
 def _apply_gate(
@@ -205,19 +194,17 @@ def _apply_gate(
     """One gate applied to a tensor-shaped batch (B, 2, ..., 2).
 
     mat is the gate's local matrix at theta if already built; without it the
-    matrix is built here. Sum gates have none.
+    matrix is built here. A sum gate applies it at each ring position
+    (i, i+1, ...) mod n, i = 1..n.
     """
+    if mat is None:
+        mat = gate_matrix(gate, theta)
     if gate.qubits:
-        if mat is None:
-            mat = gate_matrix(gate, theta)
         return _apply_local(batch, mat, gate.qubits)
-    # sum gates act through their cached eigenbasis, never through a dense matrix
-    vals, vecs = _sum_generator_eig(gate.name, n)
-    shape = batch.shape
-    flat = batch.reshape(shape[0], -1)
-    coef = flat @ vecs.conj()
-    coef *= np.exp(-1j * float(theta[gate.slots[0]]) * vals)
-    return (coef @ vecs.T).reshape(shape)
+    width = len(ROTATIONS[gate.name])
+    for i in range(n):
+        batch = _apply_local(batch, mat, tuple((i + j) % n + 1 for j in range(width)))
+    return batch
 
 
 def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int, mats):
@@ -245,7 +232,7 @@ def apply_circuit(
     theta: np.ndarray,
     states: np.ndarray,
     start: int = 0,
-    mats: Sequence[np.ndarray | None] | None = None,
+    mats: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evolve one state vector or a batch of them through the circuit.
 
@@ -265,7 +252,7 @@ def apply_circuit_trace(
     circuit: Circuit,
     theta: np.ndarray,
     states: np.ndarray,
-    mats: Sequence[np.ndarray | None] | None = None,
+    mats: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Like apply_circuit on a (B, 2**n) batch, but keeps every intermediate.
 
@@ -385,38 +372,3 @@ def hva_cluster(n: int, layers: int) -> Circuit:
         gates.append(Gate("sumzxz", (), (slot + 2,)))
         slot += 3
     return make_circuit(n, gates, slot)
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """Line-oriented dump: header, then one gate per line (name qubits slots)."""
-    lines = [f"circuit n={circuit.n} params={circuit.param_count}"]
-    for g in circuit.gates:
-        fields = [g.name, *map(str, g.qubits), *map(str, g.slots)]
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("circuit "):
-        raise ValueError("missing circuit header line")
-    header = dict(tok.split("=") for tok in lines[0].split()[1:])
-    n = int(header["n"])
-    param_count = int(header["params"])
-    gates = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        name = toks[0]
-        if name not in GATE_QUBITS:
-            raise ValueError(f"unknown gate {name!r} in line {ln!r}")
-        nq = GATE_QUBITS[name]
-        ns = GATE_SLOTS[name]
-        if len(toks) != 1 + nq + ns:
-            raise ValueError(f"malformed gate line {ln!r}")
-        qubits = tuple(int(t) for t in toks[1 : 1 + nq])
-        slots = tuple(int(t) for t in toks[1 + nq :])
-        gates.append(Gate(name, qubits, slots))
-    return make_circuit(n, gates, param_count)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import Circuit, hea, hva_cluster, qcnn
-from .fisher import PROB_STEP, StateFamily, bound_chain, cfi_mixture_closed
+from .fisher import StateFamily, bound_chain, cfi_mixture_closed
 from .hamiltonians import cluster, ising, schwinger
 from .mixture import (
     MixtureModel,
@@ -202,7 +202,7 @@ def _trained_rows(
     result = train(circuit, m, trainset, tc)
     run_flag = "" if result.converged else "nonconverged"
     obs = ParamObservable(circuit=circuit, m=m, lambdas=result.lambdas)
-    interior = [float(a) for a in grid if family.contains_stencil(float(a), PROB_STEP)]
+    interior = [float(a) for a in grid if family.contains_stencil(float(a))]
     reports = {
         rep.alpha: rep
         for rep in bound_chain(obs, result.theta, family, interior, on_violation="flag")

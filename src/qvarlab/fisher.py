@@ -66,9 +66,10 @@ class StateFamily:
                 self._pure[alpha] = st
         return st
 
-    def contains_stencil(self, alpha: float, step: float) -> bool:
+    def contains_stencil(self, alpha: float) -> bool:
+        """Whether the label stencil alpha +- PROB_STEP lies in the range."""
         lo, hi = self.alpha_range
-        return lo <= alpha - step and alpha + step <= hi
+        return lo <= alpha - PROB_STEP and alpha + PROB_STEP <= hi
 
 
 @dataclass
@@ -238,7 +239,7 @@ def bound_chain(
     reports = []
     for alpha in alphas:
         alpha = float(alpha)
-        if not family.contains_stencil(alpha, PROB_STEP):
+        if not family.contains_stencil(alpha):
             raise ValueError(
                 f"alpha={alpha} too close to the family range boundary for "
                 f"step {PROB_STEP}"

@@ -148,9 +148,9 @@ class _Engine:
         # first gate reading each slot; slots no gate reads keep len(gates) so
         # a probe there skips the circuit entirely
         self.first_gate = [r[0] if r else len(circuit.gates) for r in readers]
-        # gates whose local matrix a probe of each slot rebuilds (sum gates
-        # have none); a qcnn slot is shared within a level, u3/cu3 read three
-        self.slot_gates = [[k for k in r if circuit.gates[k].qubits] for r in readers]
+        # gates whose local matrix a probe of each slot rebuilds; a qcnn slot
+        # is shared within a level, u3/cu3 read three
+        self.slot_gates = readers
         self._theta = None
         self._mats = None
         self._trace = None

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,6 @@ import pytest
 import qvarlab
 from qvarlab import cli
 from qvarlab.cli import CSV_HEADER, ConfigError, ExperimentConfig, main, run
-from qvarlab.fisher import PROB_STEP
 from qvarlab.mixture import qfi_commuting, variance_full, variance_partial
 
 
@@ -66,6 +69,21 @@ def test_analytic_rerun_is_byte_identical(tmp_path):
     assert paths1 == paths2
     for p in paths2:
         assert open(p, "rb").read() == blobs[p]
+
+
+def test_module_route_runs_without_runtime_warning(tmp_path):
+    # `python -m qvarlab.cli` warns if importing the package loaded cli already
+    src = str(Path(qvarlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["analytic", "--n", "2", "--m", "1", "--eval-points", "3", "--out", str(tmp_path / "a")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qvarlab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_reports_written_files(tmp_path):
@@ -276,5 +294,5 @@ def test_family_ranges_cover_the_label_windows():
             assert family.alpha_range == (lo, hi)
         else:
             # ground-state windows get Fisher columns at both edges
-            assert family.contains_stencil(lo, PROB_STEP)
-            assert family.contains_stencil(hi, PROB_STEP)
+            assert family.contains_stencil(lo)
+            assert family.contains_stencil(hi)

@@ -45,9 +45,9 @@ def test_state_family_range_and_stencil():
     fam = _bloch_family()
     with pytest.raises(ValueError):
         fam.state(2.5)
-    assert fam.contains_stencil(0.0, 1e-4)
-    assert not fam.contains_stencil(-1.0, 1e-4)
-    assert not fam.contains_stencil(2.0, 1e-4)
+    assert fam.contains_stencil(0.0)
+    assert not fam.contains_stencil(-1.0)
+    assert not fam.contains_stencil(2.0)
 
 
 def test_state_family_memoizes_pure_states_only():
