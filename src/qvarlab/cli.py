@@ -9,6 +9,7 @@ full configuration; identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -124,10 +125,14 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("layers must be positive")
     if config.restarts < 1 or config.max_iters < 1:
         raise ConfigError("restarts and max_iters must be positive")
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if config.w_ls <= 0 or config.w_var < 0:
         raise ConfigError("need w_ls > 0 and w_var >= 0")
     if config.experiment in ("mixture", "analytic") and not 0.0 <= config.r <= 1.0:
         raise ConfigError("r must lie in [0, 1]")
+    if not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ConfigError(f"output directory of {config.out!r} does not exist")
 
 
 def _fmt(x) -> str:

@@ -6,9 +6,9 @@ information of the outcome distribution) which in turn is bounded below by
 1/I_q (quantum Fisher information of the family). bound_chain evaluates all
 three on a grid and checks the ordering.
 
-All parameter derivatives are central finite differences: step 1e-4 for
-probabilities, expectations and density matrices, step 1e-5 for state vectors
-(renormalized and phase-aligned before differencing).
+Every label derivative is a central finite difference over one stencil, the
+states at alpha and alpha +- PROB_STEP (1e-4); state vectors are renormalized
+and phase-aligned before differencing.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .observables import ParamObservable, SpectralObservable, _coerce_state, mat
 from .states import LabeledState, fidelity
 
 PROB_STEP = 1e-4
-PSI_STEP = 1e-5
 PROB_FLOOR = 1e-12
 DPROB_TOL = 1e-8
 SLOPE_FLOOR = 1e-10
@@ -45,10 +44,11 @@ class StateFamily:
     """A differentiable path alpha -> state over a validity interval.
 
     Pure states are memoized per alpha on the family object, so a grid point
-    that training, the bound-chain stencils and the CSV rows all visit costs
-    one evaluation (one ground-state solve for the spin-chain families).
-    Density states are not kept: at d x d each, a run's grid would hold
-    hundreds of MB at n=8, while the mixture's closed form is cheap to redo.
+    that training, the bound-chain stencil (alpha, alpha +- PROB_STEP) and
+    the CSV rows all visit costs one evaluation (one ground-state solve for
+    the spin-chain families). Density states are not kept: at d x d each, a
+    run's grid would hold hundreds of MB at n=8, while the mixture's closed
+    form is cheap to redo.
     """
 
     evaluator: Callable[[float], LabeledState]
@@ -114,10 +114,15 @@ def fisher_information(p, dp, floor: float = PROB_FLOOR, slope_tol: float = DPRO
     return total
 
 
-def _label_slope(family: StateFamily, alpha: float, of_state: Callable) -> np.ndarray:
-    """Central FD in alpha, step PROB_STEP, of of_state(family.state(alpha))."""
-    fp = of_state(family.state(alpha + PROB_STEP))
-    return (fp - of_state(family.state(alpha - PROB_STEP))) / (2.0 * PROB_STEP)
+def _stencil(family: StateFamily, alpha: float) -> tuple[LabeledState, ...]:
+    """The states at alpha - PROB_STEP, alpha and alpha + PROB_STEP."""
+    return tuple(family.state(a) for a in (alpha - PROB_STEP, alpha, alpha + PROB_STEP))
+
+
+def _slope(of_state: Callable, stencil: Sequence[LabeledState]) -> np.ndarray:
+    """Central FD in alpha, step PROB_STEP, of of_state over the stencil."""
+    lo, _, hi = stencil
+    return (of_state(hi) - of_state(lo)) / (2.0 * PROB_STEP)
 
 
 def cfi(family: StateFamily, projectors, alpha: float) -> float:
@@ -125,7 +130,8 @@ def cfi(family: StateFamily, projectors, alpha: float) -> float:
     with step PROB_STEP; see fisher_information for vanishing outcomes.
     """
     probs = partial(outcome_probs, projectors)
-    return fisher_information(probs(family.state(alpha)), _label_slope(family, alpha, probs))
+    stencil = _stencil(family, alpha)
+    return fisher_information(probs(stencil[1]), _slope(probs, stencil))
 
 
 def cfi_mixture_closed(alpha: float, p1, p2) -> float:
@@ -193,25 +199,18 @@ def qfi_fidelity(family: StateFamily, alpha: float, dalpha: float = 1e-3) -> flo
     return i1
 
 
-def _fd_dpsi(family: StateFamily, alpha: float, step: float) -> np.ndarray:
-    """Central-difference state derivative with renormalization and phase
-    alignment (the forward state is rotated so <psi_-|psi_+> is real positive).
-    """
-    sp = family.state(alpha + step).psi
-    sm = family.state(alpha - step).psi
-    sp = sp / np.linalg.norm(sp)
-    sm = sm / np.linalg.norm(sm)
+def _family_qfi(stencil: Sequence[LabeledState]) -> float:
+    """QFI at the stencil's centre; dpsi differences the renormalized outer
+    states, the forward one rotated so that <psi_-|psi_+> is real positive."""
+    lo, mid, hi = stencil
+    if not mid.is_pure:
+        return qfi_spectral(mid.rho, _slope(lambda st: st.rho, stencil))
+    sm = lo.psi / np.linalg.norm(lo.psi)
+    sp = hi.psi / np.linalg.norm(hi.psi)
     overlap = np.vdot(sm, sp)
     if abs(overlap) > 0.0:
         sp = sp * (overlap.conj() / abs(overlap))
-    return (sp - sm) / (2.0 * step)
-
-
-def _family_qfi(family: StateFamily, state0: LabeledState, alpha: float) -> float:
-    if state0.is_pure:
-        dpsi = _fd_dpsi(family, alpha, PSI_STEP)
-        return qfi_pure(state0.psi, dpsi)
-    return qfi_spectral(state0.rho, _label_slope(family, alpha, lambda st: st.rho))
+    return qfi_pure(mid.psi, (sp - sm) / (2.0 * PROB_STEP))
 
 
 def bound_chain(
@@ -223,7 +222,7 @@ def bound_chain(
 ) -> list[FisherReport]:
     """Adjusted variance, 1/CFI and 1/QFI for every grid point.
 
-    Grid points must be interior to the family range by at least the FD step.
+    Grid points need their stencil alpha +- PROB_STEP inside the family range.
     A slope |d<M>/d alpha| below 1e-10 leaves the adjusted variance undefined
     (reported as inf with a zero-slope flag). Ordering violations beyond
     CHAIN_TOL raise a ChainViolationError, and a diverging classical Fisher
@@ -245,9 +244,9 @@ def bound_chain(
                 f"step {PROB_STEP}"
             )
         flags = []
-        st0 = family.state(alpha)
-        p0 = probs(st0)
-        dp = _label_slope(family, alpha, probs)
+        stencil = _stencil(family, alpha)
+        p0 = probs(stencil[1])
+        dp = _slope(probs, stencil)
 
         var = float(moments(p0, lam)[1])
         slope = float(dp @ lam)
@@ -265,7 +264,7 @@ def bound_chain(
             ic = float("inf")
             flags.append("cfi-divergent")
         inv_cfi = 1.0 / ic if ic > 1e-300 else float("inf")
-        iq = _family_qfi(family, st0, alpha)
+        iq = _family_qfi(stencil)
         inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
 
         out_of_order = (adjusted < inv_cfi - CHAIN_TOL) or (inv_cfi < inv_qfi - CHAIN_TOL)

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import linalg
-from .fisher import StateFamily, cfi_mixture_closed, fisher_information, qfi_spectral
+from .fisher import StateFamily, cfi_mixture_closed, fisher_information, outcome_probs, qfi_spectral
 from .observables import SpectralObservable
 from .states import LabeledState, ghz, mixture_state, rank2_state
 
@@ -273,7 +273,7 @@ def projector_optimality_oracle(
     opt = optimal_observable_matrix(model, m)
     rho1 = model.rho1()
     uniform = np.full(2**m, 2.0**-m)
-    p_opt = np.einsum("kij,ji->k", opt.projectors, rho1).real
+    p_opt = outcome_probs(opt, rho1)
     d_opt = f_divergence(p_opt, uniform)
     eigs = np.sort(np.linalg.eigvalsh(rho1))[::-1]
     basis = model.eigenbasis()
@@ -283,8 +283,7 @@ def projector_optimality_oracle(
         rng = np.random.default_rng([seed, t])
         u = linalg.haar_unitary(model.dim, rng)
         proj = np.einsum("ab,kbc,dc->kad", u, opt.projectors, u.conj())
-        p = np.einsum("kij,ji->k", proj, rho1).real
-        p = np.clip(p, 0.0, None)
+        p = np.clip(outcome_probs(proj, rho1), 0.0, None)
         vs = u @ basis
         diag = np.einsum("ja,jk,ka->a", vs.conj(), rho1, vs).real
         if not check_majorization(diag, eigs):
@@ -337,7 +336,7 @@ def _validate_closed_forms() -> None:
             if abs(iq - qfi_half_closed(n, r)) > 1e-8:
                 raise AssertionError("qfi_half_closed disagrees with spectral")
             part = optimal_observable_matrix(model, 1)
-            p1 = np.einsum("kij,ji->k", part.projectors, rho1).real
+            p1 = outcome_probs(part, rho1)
             for alpha in (0.2, 0.5, 0.8):
                 want = variance_partial(alpha, 1)
                 got = _dense_variance(part, model.rho(alpha))

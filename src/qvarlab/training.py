@@ -84,6 +84,8 @@ class TrainConfig:
             raise ValueError("w_var must be nonnegative")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,8 @@ def test_exit_code_one_on_config_errors(tmp_path):
     assert main(["analytic", "--train-points", "1", "--out", out]) == 1
     assert main(["analytic", "--n", "2", "--m", "1,1", "--out", out]) == 1
     assert main(["analytic", "--n", "2", "--naimark", "1", "--m", "7", "--out", out]) == 1
+    assert main(["mixture", "--n", "2", "--m", "1", "--seed", "-1", "--out", out]) == 1
+    assert main(["mixture", "--n", "2", "--m", "1", "--out", str(tmp_path / "no" / "x")]) == 1
     assert not list(tmp_path.iterdir())
 
 

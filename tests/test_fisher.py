@@ -17,9 +17,11 @@ from qvarlab.fisher import (
     qfi_spectral,
     sld,
 )
+from qvarlab.hamiltonians import ising
+from qvarlab.linalg import herm_eig
 from qvarlab.mixture import MixtureModel, optimal_observable_matrix
 from qvarlab.observables import ParamObservable, matrix
-from qvarlab.states import LabeledState
+from qvarlab.states import LabeledState, ground_state
 
 Z_PROJ = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
 
@@ -228,6 +230,45 @@ def test_bound_chain_two_outcome_pure_family_saturates_cfi():
             assert rep.inv_qfi == pytest.approx(0.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("pure", [False, True])
+def test_bound_chain_and_cfi_read_one_three_state_stencil(pure):
+    # density states are not memoized, so each family.state call reaches the
+    # evaluator; pure states are, so each call is a distinct label
+    calls = []
+
+    def ev(a):
+        calls.append(a)
+        if pure:
+            return LabeledState(a, psi=np.array([np.cos(a), np.sin(a)], dtype=complex))
+        return LabeledState(a, rho=np.diag([1.0 - 0.5 * a, 0.5 * a]).astype(complex))
+
+    alpha, h = 0.3, fisher.PROB_STEP
+    obs = ParamObservable(qc.make_circuit(1, [], 0), 1, np.array([0.0, 1.0]))
+    bound_chain(obs, np.array([]), StateFamily(ev, (-1.0, 2.0)), [alpha], on_violation="flag")
+    assert sorted(calls) == [alpha - h, alpha, alpha + h]
+    calls.clear()
+    cfi(StateFamily(ev, (-1.0, 2.0)), Z_PROJ, alpha)
+    assert sorted(calls) == [alpha - h, alpha, alpha + h]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bound_chain_qfi_matches_exact_ising_linear_response(n):
+    # I_q = 4 sum_{k>0} |<v_k|dH/dh|v_0>|^2 / (E_k - E_0)^2, with dH/dh exact
+    # since ising(n, h) is affine in h
+    fam = StateFamily(lambda h: LabeledState(h, psi=ground_state(ising(n, h))), (0.0, 2.5))
+    dh = ising(n, 1.0) - ising(n, 0.0)
+    rng = np.random.default_rng(5)
+    c = qc.hea(n, 1)
+    obs = ParamObservable(c, 1, rng.normal(size=2))
+    theta = rng.uniform(0, 2 * np.pi, c.param_count)
+    for h in (0.3, 0.7, 1.0, 1.7):
+        es = herm_eig(ising(n, h))
+        amp = es.vectors[:, 1:].conj().T @ (dh @ es.vectors[:, 0])
+        iq = 4.0 * np.sum(np.abs(amp) ** 2 / (es.values[1:] - es.values[0]) ** 2)
+        (rep,) = bound_chain(obs, theta, fam, [h], on_violation="flag")
+        assert abs(rep.inv_qfi * iq - 1.0) < 1e-6
+
+
 def test_bound_chain_zero_slope_flag():
     fam = MixtureModel(2, 0.25).family()
     obs = ParamObservable(qc.hea(2, 1), 1, np.array([1.0, 1.0]))
@@ -276,4 +317,3 @@ def test_fisher_report_defaults():
     rep = FisherReport(alpha=0.5, adjusted_variance=1.0, inv_cfi=0.5, inv_qfi=0.25)
     assert rep.flag == ""
     assert fisher.PROB_STEP == 1e-4
-    assert fisher.PSI_STEP == 1e-5

@@ -58,6 +58,8 @@ def test_trainconfig_validation():
         TrainConfig(restarts=0)
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        TrainConfig(seed=-1)
 
 
 def test_loss_frozen_deterministic_outcomes():
