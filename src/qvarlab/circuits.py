@@ -6,14 +6,18 @@ convolutional ansatz shares its slots within a level). Application order is
 list order: the first gate in the list acts on the state first, i.e. it is the
 rightmost factor of the overall unitary.
 
+Gate kinds: GATES is the one table of gate names. Each entry gives the
+target count (0 for a sum gate), the slot count, and the Pauli string P of a
+rotation (None for u3 and cu3); validation, the local matrices and the
+application loop all read it.
+
 Rotation conventions:
   every rotation kind implements exp(-i theta P) = cos(theta) I - i sin(theta) P
-  (no half angle) for the Pauli string P that ROTATIONS names. The sum gates
-  have no targets: their string's terms on the ring positions (i, i+1, ...)
-  mod n commute, so exp(-i theta sum_i P_i) is the product of the per-position
-  rotations. u3(theta, phi, lam) composes R_Z(phi) R_Y(theta) R_Z(lam) in the
-  half-angle convention, and cu3 applies a u3 on the target controlled on the
-  first qubit of the pair.
+  (no half angle). The sum gates have no targets: their string's terms on the
+  ring positions (i, i+1, ...) mod n commute, so exp(-i theta sum_i P_i) is
+  the product of the per-position rotations. u3(theta, phi, lam) composes
+  R_Z(phi) R_Y(theta) R_Z(lam) in the half-angle convention, and cu3 applies a
+  u3 on the target controlled on the first qubit of the pair.
 
 Kernel: a state batch is a (B, 2, ..., 2) tensor, axis q holding qubit q. A
 local matrix on k target qubits is one BLAS matrix product: the target axes
@@ -34,41 +38,28 @@ import numpy as np
 from . import linalg
 from .hamiltonians import PAULI
 
-GATE_QUBITS = {
-    "rx": 1,
-    "rz": 1,
-    "rzz": 2,
-    "rxx": 2,
-    "ryy": 2,
-    "u3": 1,
-    "cu3": 2,
-    "sumx": 0,
-    "sumz": 0,
-    "sumzxz": 0,
-}
-GATE_SLOTS = {
-    "rx": 1,
-    "rz": 1,
-    "rzz": 1,
-    "rxx": 1,
-    "ryy": 1,
-    "u3": 3,
-    "cu3": 3,
-    "sumx": 1,
-    "sumz": 1,
-    "sumzxz": 1,
-}
-# the Pauli string each rotation kind exponentiates; a sum gate applies its
-# string at every ring position of the register
-ROTATIONS = {
-    "rx": "X",
-    "rz": "Z",
-    "rzz": "ZZ",
-    "rxx": "XX",
-    "ryy": "YY",
-    "sumx": "X",
-    "sumz": "Z",
-    "sumzxz": "ZXZ",
+
+@dataclass(frozen=True)
+class GateKind:
+    """Target count (0: a sum gate over the ring), slot count, and the Pauli
+    string a rotation exponentiates (None for u3 and cu3)."""
+
+    targets: int
+    slots: int
+    pauli: str | None = None
+
+
+GATES = {
+    "rx": GateKind(1, 1, "X"),
+    "rz": GateKind(1, 1, "Z"),
+    "rzz": GateKind(2, 1, "ZZ"),
+    "rxx": GateKind(2, 1, "XX"),
+    "ryy": GateKind(2, 1, "YY"),
+    "u3": GateKind(1, 3),
+    "cu3": GateKind(2, 3),
+    "sumx": GateKind(0, 1, "X"),
+    "sumz": GateKind(0, 1, "Z"),
+    "sumzxz": GateKind(0, 1, "ZXZ"),
 }
 
 
@@ -90,18 +81,19 @@ class Circuit:
 
 def _validate_circuit(n: int, gates: Sequence[Gate], param_count: int) -> None:
     for g in gates:
-        if g.name not in GATE_QUBITS:
+        kind = GATES.get(g.name)
+        if kind is None:
             raise ValueError(f"unknown gate {g.name!r}")
-        if len(g.qubits) != GATE_QUBITS[g.name]:
-            raise ValueError(f"{g.name} expects {GATE_QUBITS[g.name]} qubits")
-        if len(g.slots) != GATE_SLOTS[g.name]:
-            raise ValueError(f"{g.name} expects {GATE_SLOTS[g.name]} slots")
+        if len(g.qubits) != kind.targets:
+            raise ValueError(f"{g.name} expects {kind.targets} qubits")
+        if len(g.slots) != kind.slots:
+            raise ValueError(f"{g.name} expects {kind.slots} slots")
         if any(not 1 <= q <= n for q in g.qubits):
             raise ValueError(f"gate targets {g.qubits} outside 1..{n}")
         if len(set(g.qubits)) != len(g.qubits):
             raise ValueError(f"repeated target in {g.qubits}")
-        if not g.qubits and len(ROTATIONS[g.name]) > n:
-            raise ValueError(f"{g.name} needs at least {len(ROTATIONS[g.name])} qubits")
+        if not kind.targets and len(kind.pauli) > n:
+            raise ValueError(f"{g.name} needs at least {len(kind.pauli)} qubits")
         if any(not 0 <= s < param_count for s in g.slots):
             raise ValueError(f"slot indices {g.slots} outside 0..{param_count - 1}")
 
@@ -135,7 +127,7 @@ def _rotation_basis(string: str) -> np.ndarray:
     return np.stack([np.eye(len(p)), -1j * p]).reshape(2, -1)
 
 
-_ROTATION_BASIS = {name: _rotation_basis(string) for name, string in ROTATIONS.items()}
+_ROTATION_BASIS = {name: _rotation_basis(kind.pauli) for name, kind in GATES.items() if kind.pauli}
 
 
 def gate_matrix(gate: Gate, params: np.ndarray) -> np.ndarray:
@@ -145,18 +137,18 @@ def gate_matrix(gate: Gate, params: np.ndarray) -> np.ndarray:
     entries are cos(theta) I - i sin(theta) P, exact since P holds 0 and +-1.
     """
     name = gate.name
-    if name in ROTATIONS:
+    pauli = GATES[name].pauli
+    if pauli:
         theta = float(params[gate.slots[0]])
-        k = 2 ** len(ROTATIONS[name])
+        k = 2 ** len(pauli)
         return np.dot((np.cos(theta), np.sin(theta)), _ROTATION_BASIS[name]).reshape(k, k)
     angles = [float(params[s]) for s in gate.slots]
     if name == "u3":
         return _u3_matrix(*angles)
-    if name == "cu3":
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = _u3_matrix(*angles)
-        return out
-    raise ValueError(f"gate {name!r} has no local matrix")
+    # cu3, the one other kind without a Pauli string
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = _u3_matrix(*angles)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +193,7 @@ def _apply_gate(
         mat = gate_matrix(gate, theta)
     if gate.qubits:
         return _apply_local(batch, mat, gate.qubits)
-    width = len(ROTATIONS[gate.name])
+    width = len(GATES[gate.name].pauli)
     for i in range(n):
         batch = _apply_local(batch, mat, tuple((i + j) % n + 1 for j in range(width)))
     return batch

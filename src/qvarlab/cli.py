@@ -56,11 +56,11 @@ class ExperimentConfig:
     layers: int = 5
     train_points: int = 10
     eval_points: int = 101
-    seed: int = 0
-    restarts: int = 5
-    max_iters: int = 500
-    w_ls: float = 1.0
-    w_var: float = 1e-4
+    seed: int = TrainConfig.seed
+    restarts: int = TrainConfig.restarts
+    max_iters: int = TrainConfig.max_iters
+    w_ls: float = TrainConfig.w_ls
+    w_var: float = TrainConfig.w_var
     r: float = 0.25
     eps: float = 1e-2
     w: float = 1.0
@@ -94,13 +94,18 @@ ANSATZ_BUILDERS = {
 }
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _validate(config: ExperimentConfig) -> tuple[StateFamily, Circuit, TrainConfig]:
+    """Check every input and build what the run uses, before any work.
+
+    The rules stated here are those no constructor owns; the family, the
+    circuit on n + naimark qubits and the TrainConfig check their own inputs,
+    and a ValueError from any of them is a ConfigError.
+    """
     if config.experiment not in FAMILY_BUILDERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     if config.ansatz not in ANSATZ_BUILDERS:
         raise ConfigError(f"unknown ansatz {config.ansatz!r}")
-    if config.n < 1:
-        raise ConfigError("n must be positive")
+    # the Hamiltonian families build their matrices lazily, so their n rules live here
     if config.experiment == "ising" and config.n < 2:
         raise ConfigError("ising needs n >= 2")
     if config.experiment == "schwinger" and (config.n < 2 or config.n % 2):
@@ -121,18 +126,19 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("train_points must be at least 2")
     if config.eval_points < 2:
         raise ConfigError("eval_points must be at least 2")
+    # qcnn reads no layer count, so only this rule rejects it with layers < 1
     if config.layers < 1:
         raise ConfigError("layers must be positive")
-    if config.restarts < 1 or config.max_iters < 1:
-        raise ConfigError("restarts and max_iters must be positive")
-    if config.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if config.w_ls <= 0 or config.w_var < 0:
-        raise ConfigError("need w_ls > 0 and w_var >= 0")
-    if config.experiment in ("mixture", "analytic") and not 0.0 <= config.r <= 1.0:
-        raise ConfigError("r must lie in [0, 1]")
     if not os.path.isdir(os.path.dirname(config.out) or "."):
         raise ConfigError(f"output directory of {config.out!r} does not exist")
+    try:
+        family = FAMILY_BUILDERS[config.experiment](config)
+        circuit = ANSATZ_BUILDERS[config.ansatz](config.n + config.naimark, config.layers)
+        # every TrainConfig field has a same-named ExperimentConfig field
+        tc = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return family, circuit, tc
 
 
 def _fmt(x) -> str:
@@ -194,7 +200,7 @@ def _analytic_rows(config: ExperimentConfig, m: int, grid: np.ndarray) -> list[t
 
 
 def _trained_rows(
-    config: ExperimentConfig,
+    tc: TrainConfig,
     family: StateFamily,
     circuit: Circuit,
     m: int,
@@ -202,8 +208,6 @@ def _trained_rows(
     grid: np.ndarray,
     analytic_m,
 ) -> list[tuple]:
-    # every TrainConfig field has a same-named ExperimentConfig field
-    tc = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
     result = train(circuit, m, trainset, tc)
     run_flag = "" if result.converged else "nonconverged"
     obs = ParamObservable(circuit=circuit, m=m, lambdas=result.lambdas)
@@ -233,8 +237,7 @@ def run(config: ExperimentConfig) -> list[str]:
     readouts and the sidecar are still written, and one RuntimeError naming
     every failed m is raised at the end.
     """
-    _validate(config)
-    family = FAMILY_BUILDERS[config.experiment](config)
+    family, circuit, tc = _validate(config)
     lo, hi = LABEL_RANGES[config.experiment]
     grid = np.linspace(lo, hi, config.eval_points)
     written, failures = [], []
@@ -257,10 +260,9 @@ def run(config: ExperimentConfig) -> list[str]:
         else:
             readouts = [(f"m{m}", m, _closed_form(config, m)) for m in config.m]
         trainset = make_trainset(family, config.train_points, lo, hi)
-        circuit = ANSATZ_BUILDERS[config.ansatz](config.n + k, config.layers)
         for suffix, m, closed in readouts:
             try:
-                rows = _trained_rows(config, family, circuit, m, trainset, grid, closed)
+                rows = _trained_rows(tc, family, circuit, m, trainset, grid, closed)
             except Exception as exc:  # keep the other readouts' results
                 failures.append(f"m={m}: {type(exc).__name__}: {exc}")
                 continue
@@ -334,9 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_value(key: str, raw: str):
     try:
-        return _FIELD_PARSERS[key](raw)
+        value = _FIELD_PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for {key}") from exc
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -4,10 +4,10 @@ The model interpolates rho_alpha = alpha rho1 + (1-alpha) I/2^n where rho1 is
 a rank-2 state r|v1><v1| + (1-r)|v2><v2|. Estimating alpha from measurement
 statistics admits closed forms: the optimal full-basis eigenvalues, the
 optimal coarse observable when only m qubits are read out, and the variances
-of both. All closed forms are re-validated against dense matrix algebra at
-module load (_validate_closed_forms) because two printed forms circulating
-for this model are inconsistent with the defining constraints; see
-qfi_alpha_printed for the one kept only as a documented reference.
+of both. The test suite checks every closed form against dense matrix
+algebra, because two printed forms circulating for this model are
+inconsistent with the defining constraints; see qfi_alpha_printed for the one
+kept only as a documented reference.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import linalg
-from .fisher import StateFamily, cfi_mixture_closed, fisher_information, outcome_probs, qfi_spectral
+from .fisher import StateFamily, fisher_information, outcome_probs
 from .observables import SpectralObservable
 from .states import LabeledState, ghz, mixture_state, rank2_state
 
@@ -302,49 +302,3 @@ def projector_optimality_oracle(
         trials=trials,
         majorization_ok=maj_ok,
     )
-
-
-def _dense_variance(spec: SpectralObservable, rho: np.ndarray) -> float:
-    mat = spec.operator()
-    mean = np.trace(mat @ rho).real
-    return float(np.trace(mat @ mat @ rho).real - mean**2)
-
-
-def _validate_closed_forms() -> None:
-    """Load-time self-test of every closed form against dense algebra at
-    n in {2, 3}. Two printed forms for this model contradict the defining
-    constraints, so blind transcription is unsafe; this guards regressions.
-    """
-    for n in (2, 3):
-        for r in (0.25, 0.5):
-            model = MixtureModel(n=n, r=r)
-            full = optimal_observable_matrix(model, "full")
-            mat = full.operator()
-            rho1 = model.rho1()
-            if abs(np.trace(mat @ rho1).real - 1.0) > 1e-10:
-                raise AssertionError("full observable violates Tr(M rho1) = 1")
-            if abs(np.trace(mat).real / 2**n) > 1e-10:
-                raise AssertionError("full observable violates Tr(M rho2) = 0")
-            for alpha in (0.0, 0.3, 0.7, 1.0):
-                rho = model.rho(alpha)
-                if abs(np.trace(mat @ rho).real - alpha) > 1e-10:
-                    raise AssertionError("expectation is not alpha")
-                if abs(_dense_variance(full, rho) - variance_full(alpha, n, r)) > 1e-10:
-                    raise AssertionError("variance_full disagrees with dense")
-            drho = rho1 - model.rho2()
-            iq = qfi_spectral(model.rho(0.5), drho)
-            if abs(iq - qfi_half_closed(n, r)) > 1e-8:
-                raise AssertionError("qfi_half_closed disagrees with spectral")
-            part = optimal_observable_matrix(model, 1)
-            p1 = outcome_probs(part, rho1)
-            for alpha in (0.2, 0.5, 0.8):
-                want = variance_partial(alpha, 1)
-                got = _dense_variance(part, model.rho(alpha))
-                if abs(got - want) > 1e-10:
-                    raise AssertionError("variance_partial disagrees with dense")
-                ic = cfi_mixture_closed(alpha, p1, np.full(2, 0.5))
-                if abs(1.0 / ic - want) > 1e-10:
-                    raise AssertionError("partial variance is not 1/I_c")
-
-
-_validate_closed_forms()

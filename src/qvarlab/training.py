@@ -78,10 +78,11 @@ class TrainConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.w_ls <= 0:
-            raise ValueError("w_ls must be positive")
-        if self.w_var < 0:
-            raise ValueError("w_var must be nonnegative")
+        # written so that NaN fails too
+        if not 0 < self.w_ls < np.inf:
+            raise ValueError("w_ls must be positive and finite")
+        if not 0 <= self.w_var < np.inf:
+            raise ValueError("w_var must be nonnegative and finite")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
         if self.seed < 0:

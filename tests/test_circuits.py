@@ -171,10 +171,10 @@ def test_apply_local_bitwise_matches_tensordot(n):
     # the kernel must make the same zgemm call as tensordot; matmul or
     # einsum round differently
     rng = np.random.default_rng(n)
-    local = [name for name, nq in qc.GATE_QUBITS.items() if 0 < nq <= n]
-    for name in local:
-        for qubits in itertools.permutations(range(1, n + 1), qc.GATE_QUBITS[name]):
-            gate = _gate(name, qubits, range(qc.GATE_SLOTS[name]))
+    local = {name: kind for name, kind in qc.GATES.items() if 0 < kind.targets <= n}
+    for name, kind in local.items():
+        for qubits in itertools.permutations(range(1, n + 1), kind.targets):
+            gate = _gate(name, qubits, range(kind.slots))
             mat = qc.gate_matrix(gate, rng.uniform(0, 2 * np.pi, 3))
             for nb in (1, 3):
                 shape = (nb,) + (2,) * n

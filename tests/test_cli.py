@@ -121,6 +121,12 @@ def test_exit_code_one_on_config_errors(tmp_path):
     assert main(["analytic", "--n", "2", "--naimark", "1", "--m", "7", "--out", out]) == 1
     assert main(["mixture", "--n", "2", "--m", "1", "--seed", "-1", "--out", out]) == 1
     assert main(["mixture", "--n", "2", "--m", "1", "--out", str(tmp_path / "no" / "x")]) == 1
+    # ansatz builders' own n rules, checked before the train set is built
+    assert main(["ising", "--n", "2", "--m", "1", "--ansatz", "hva", "--out", out]) == 1
+    assert main(["mixture", "--n", "1", "--m", "1", "--ansatz", "qcnn", "--out", out]) == 1
+    # non-finite floats
+    assert main(["mixture", "--n", "2", "--m", "1", "--w-var", "nan", "--out", out]) == 1
+    assert main(["cluster", "--n", "3", "--m", "1", "--eps", "inf", "--out", out]) == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qvarlab import mixture as mx
-from qvarlab.fisher import outcome_probs, qfi_spectral, sld
+from qvarlab.fisher import cfi_mixture_closed, outcome_probs, qfi_spectral, sld
 from qvarlab.mixture import (
     MixtureModel,
     check_majorization,
@@ -18,6 +18,7 @@ from qvarlab.mixture import (
     variance_full,
     variance_partial,
 )
+from qvarlab.observables import SpectralObservable
 from qvarlab.states import ghz
 
 
@@ -118,8 +119,52 @@ def test_optimal_eigenvalues_partial_frozen():
         optimal_eigenvalues_partial(3, 0)
 
 
+def _dense_variance(spec: SpectralObservable, rho: np.ndarray) -> float:
+    mat = spec.operator()
+    mean = np.trace(mat @ rho).real
+    return float(np.trace(mat @ mat @ rho).real - mean**2)
+
+
+def test_closed_forms_match_dense_algebra():
+    """Every closed form against dense algebra at n in {2, 3}. Two printed
+    forms for this model contradict the defining constraints, so blind
+    transcription is unsafe; this guards regressions.
+    """
+    for n in (2, 3):
+        for r in (0.25, 0.5):
+            model = MixtureModel(n=n, r=r)
+            full = optimal_observable_matrix(model, "full")
+            mat = full.operator()
+            rho1 = model.rho1()
+            if abs(np.trace(mat @ rho1).real - 1.0) > 1e-10:
+                raise AssertionError("full observable violates Tr(M rho1) = 1")
+            if abs(np.trace(mat).real / 2**n) > 1e-10:
+                raise AssertionError("full observable violates Tr(M rho2) = 0")
+            for alpha in (0.0, 0.3, 0.7, 1.0):
+                rho = model.rho(alpha)
+                if abs(np.trace(mat @ rho).real - alpha) > 1e-10:
+                    raise AssertionError("expectation is not alpha")
+                if abs(_dense_variance(full, rho) - variance_full(alpha, n, r)) > 1e-10:
+                    raise AssertionError("variance_full disagrees with dense")
+            drho = rho1 - model.rho2()
+            iq = qfi_spectral(model.rho(0.5), drho)
+            if abs(iq - qfi_half_closed(n, r)) > 1e-8:
+                raise AssertionError("qfi_half_closed disagrees with spectral")
+            part = optimal_observable_matrix(model, 1)
+            p1 = outcome_probs(part, rho1)
+            for alpha in (0.2, 0.5, 0.8):
+                want = variance_partial(alpha, 1)
+                got = _dense_variance(part, model.rho(alpha))
+                if abs(got - want) > 1e-10:
+                    raise AssertionError("variance_partial disagrees with dense")
+                ic = cfi_mixture_closed(alpha, p1, np.full(2, 0.5))
+                if abs(1.0 / ic - want) > 1e-10:
+                    raise AssertionError("partial variance is not 1/I_c")
+
+
 def test_observable_calibration_at_new_size():
-    # load-time validation covers n in {2, 3}; extend the invariants once more
+    # test_closed_forms_match_dense_algebra covers n in {2, 3}; extend the
+    # invariants once more
     model = MixtureModel(4, 0.3)
     for m in ("full", 2):
         mat = optimal_observable_matrix(model, m).operator()

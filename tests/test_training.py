@@ -50,10 +50,12 @@ def test_trainset_validation():
 
 
 def test_trainconfig_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(w_ls=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(w_var=-1.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(w_ls=bad)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(w_var=bad)
     with pytest.raises(ValueError):
         TrainConfig(restarts=0)
     with pytest.raises(ValueError):
