@@ -179,13 +179,18 @@ def ground_state(h: np.ndarray) -> np.ndarray:
     which maps basis index s to d-1-s, so that h[::-1, ::-1] == h exactly,
     is solved per flip-parity sector. With A the upper-left block and B the
     upper-right block of h, the even and odd sectors are the d/2-wide
-    Hermitian matrices A + B J and A - B J (J reverses the columns). Both are
-    eigensolved, and the lower sector's ground vector x is returned as
-    [x, +-x[::-1]]/sqrt(2). Sector energies within GAP_TOL of each other
-    select the even sector: the Ising ring at even n, near-degenerate at
-    small field, has an even ground state exactly, since conjugating by the
-    product of Z makes it stoquastic. Any other matrix (for example the
-    cluster chain at eps != 0 or the Schwinger chain) is eigensolved whole.
+    matrices A + B J and A - B J (J reverses the columns). Such an h is
+    Hermitian exactly when both sectors are, so herm_eig's check of each
+    sector is the only check; the whole matrix is not checked. If the
+    imaginary part of h is exactly zero (the Ising ring, the cluster chain at
+    eps == 0), the sectors are split from h.real and solved as real symmetric
+    matrices. The lower sector's ground vector x is returned as
+    [x, +-x[::-1]]/sqrt(2), complex128 and phase-fixed. Sector energies
+    within GAP_TOL of each other select the even sector: the Ising ring at
+    even n, near-degenerate at small field, has an even ground state exactly,
+    since conjugating by the product of Z makes it stoquastic. Any other
+    matrix (for example the cluster chain at eps != 0 or the Schwinger chain)
+    is eigensolved whole, in complex arithmetic.
 
     A DegenerateGroundSpaceWarning is emitted when the two lowest eigenvalues
     of the matrix solved (the whole matrix or the chosen sector) are closer
@@ -197,7 +202,8 @@ def ground_state(h: np.ndarray) -> np.ndarray:
         es = linalg.herm_eig(h)
         _check_gap(es.values)
         return es.vectors[:, 0].copy()
-    h = linalg.hermitianize(linalg.require_hermitian(h))
+    if not h.imag.any():
+        h = h.real
     a = h[: d // 2, : d // 2]
     bj = h[: d // 2, d // 2 :][:, ::-1]
     even, odd = linalg.herm_eig(a + bj), linalg.herm_eig(a - bj)
@@ -205,4 +211,4 @@ def ground_state(h: np.ndarray) -> np.ndarray:
     _check_gap(es.values)
     x = es.vectors[:, 0]
     psi = np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0)
-    return linalg._fix_phases(psi[:, None])[:, 0]
+    return linalg._fix_phases(psi[:, None])[:, 0].astype(complex, copy=False)

@@ -123,3 +123,18 @@ def test_fix_phases_bitwise_matches_column_loop(d, cols):
     assert linalg._fix_phases(v).tobytes() == _fix_phases_loop(v).tobytes()
     w = np.linalg.eigh(v @ v.conj().T)[1][:, :cols]
     assert linalg._fix_phases(w).tobytes() == _fix_phases_loop(w).tobytes()
+
+
+def test_herm_eig_keeps_real_arithmetic():
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(7, 7))
+    h = m + m.T
+    real = linalg.herm_eig(h)
+    assert real.values.dtype == real.vectors.dtype == np.float64
+    cplx = linalg.herm_eig(h.astype(complex))
+    assert cplx.vectors.dtype == np.complex128
+    assert np.abs(real.values - cplx.values).max() < 1e-12
+    # both follow the phase convention, so the vectors agree column by column
+    assert np.abs(real.vectors - cplx.vectors).max() < 1e-12
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.herm_eig(h + np.triu(np.full((7, 7), 1e-6), 1))

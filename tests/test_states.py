@@ -134,3 +134,72 @@ def test_cluster_ground_state_is_the_whole_matrix_solution():
         ham = hamiltonians.cluster(n, x)
         want = linalg.herm_eig(ham).vectors[:, 0]
         assert states.ground_state(ham).tobytes() == want.tobytes()
+
+
+def _complex_sector_ground_state(ham):
+    # the complex reference: both sectors as complex herm_eig, even on a tie
+    d = len(ham)
+    a = ham[: d // 2, : d // 2]
+    bj = ham[: d // 2, d // 2 :][:, ::-1]
+    even, odd = linalg.herm_eig(a + bj), linalg.herm_eig(a - bj)
+    if even.values[0] < odd.values[0] + states.GAP_TOL:
+        sign, x = 1.0, even.vectors[:, 0]
+    else:
+        sign, x = -1.0, odd.vectors[:, 0]
+    return np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0)
+
+
+def _record_eig_dtypes(monkeypatch):
+    seen = []
+    solve = linalg.herm_eig
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "herm_eig", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 10])
+def test_ising_real_sector_solve_matches_complex_sector_solve(n, monkeypatch):
+    seen = _record_eig_dtypes(monkeypatch)
+    for h in (0.05, 0.3, 1.0, 2.0):
+        ham = hamiltonians.ising(n, h)
+        psi = states.ground_state(ham)
+        assert psi.dtype == np.complex128
+        want = _complex_sector_ground_state(ham)
+        phase = np.vdot(want, psi)
+        assert abs(abs(phase) - 1.0) < 1e-10
+        assert np.abs(psi - want * phase / abs(phase)).max() < 1e-10
+    # every sector solve of ground_state ran real; the oracle's ran complex
+    assert seen[0::4] == seen[1::4] == [np.float64] * 4
+    assert seen[2::4] == seen[3::4] == [np.complex128] * 4
+
+
+def test_flip_symmetric_non_hermitian_matrix_raises():
+    ham = hamiltonians.ising(4, 0.7)
+    d = len(ham)
+    for bump in (1e-6, 1e-6j):
+        bad = ham.copy()
+        bad[0, 1] += bump  # in A, and mirrored so the flip symmetry stays
+        bad[d - 1, d - 2] += bump
+        assert np.array_equal(bad[::-1, ::-1], bad)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            states.ground_state(bad)
+
+
+def test_flip_symmetric_complex_hamiltonian_stays_complex(monkeypatch):
+    # Y1 Z2 commutes with X^n (two sign flips) and is purely imaginary
+    n = 4
+    terms = [hamiltonians.PauliString(n, {1: "Y", 2: "Z"}, coeff=0.3)]
+    for i in range(1, n + 1):
+        terms.append(hamiltonians.PauliString(n, {i: "Z", i % n + 1: "Z"}))
+        terms.append(hamiltonians.PauliString(n, {i: "X"}, coeff=0.7))
+    ham = hamiltonians.pauli_sum(terms)
+    assert ham.imag.any() and np.array_equal(ham[::-1, ::-1], ham)
+    seen = _record_eig_dtypes(monkeypatch)
+    psi = states.ground_state(ham)
+    assert seen == [np.complex128, np.complex128]
+    energy = np.vdot(psi, ham @ psi).real
+    assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
