@@ -23,14 +23,22 @@ Kernel: a state batch is a (B, 2, ..., 2) tensor, axis q holding qubit q. A
 local matrix on k target qubits is one BLAS matrix product: the target axes
 are moved last by a transpose (its axis plan cached per target tuple and
 rank), the tensor is flattened to (rows, 2**k) and multiplied by the
-transposed local matrix, and the axes are moved back. A sum gate makes one
-such product per ring position. Callers that evaluate one theta many times
-build the local matrices once with gate_matrices and pass them in.
+transposed local matrix, and the axes are moved back. sumx and sumzxz make
+one such product per ring position. Callers that evaluate one theta many
+times build the local matrices once with gate_matrices and pass them in.
+
+Diagonal runs: rz, rzz and sumz have all-Z strings, so they are diagonal. A
+maximal stretch of them holding at least two Z terms (each hea layer's rzz
+and rz gates; an hva sumz) is one step: an elementwise multiply by
+exp(-i sum_t theta_t z_t(s)), the +-1 signs z_t(s) tabled once per circuit
+(Circuit.steps). A lone one-term gate (qcnn's rzz, the rz of hea(1, L)) stays
+a zgemm, since the product rounds differently: qcnn keeps its bits.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +69,7 @@ GATES = {
     "sumz": GateKind(0, 1, "Z"),
     "sumzxz": GateKind(0, 1, "ZXZ"),
 }
+_DIAGONAL = {name for name, kind in GATES.items() if set(kind.pauli or "") == {"Z"}}
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,25 @@ class Circuit:
     n: int
     gates: tuple[Gate, ...]
     param_count: int
+
+    @cached_property
+    def steps(self) -> tuple[tuple, ...]:
+        """(lo, hi, slots, signs) per step of gates[lo:hi]. slots and signs are
+        None for a single gate; a diagonal run has one slot per gate and a sign
+        table, row t the sum of gate t's term signs on every basis state."""
+        z = 1.0 - 2.0 * ((np.arange(2**self.n) >> np.arange(self.n)[::-1, None]) & 1)
+        steps, lo = [], 0
+        for diagonal, group in itertools.groupby(self.gates, lambda g: g.name in _DIAGONAL):
+            group = list(group)
+            hi = lo + len(group)
+            terms = [_positions(g, self.n) for g in group]
+            if diagonal and sum(map(len, terms)) >= 2:
+                table = [sum(np.prod(z[[q - 1 for q in pos]], axis=0) for pos in t) for t in terms]
+                steps.append((lo, hi, np.array([g.slots[0] for g in group]), np.array(table)))
+            else:  # a lone Z term stays a zgemm (module docstring)
+                steps.extend((k, k + 1, None, None) for k in range(lo, hi))
+            lo = hi
+        return tuple(steps)
 
 
 def _validate_circuit(n: int, gates: Sequence[Gate], param_count: int) -> None:
@@ -180,28 +208,37 @@ def gate_matrices(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray]:
     return [gate_matrix(g, theta) for g in circuit.gates]
 
 
+@lru_cache(maxsize=None)
+def _ring(width: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The ring positions (i, i+1, ...) mod n, i = 1..n, of a width-qubit string."""
+    return tuple(tuple((i + j) % n + 1 for j in range(width)) for i in range(n))
+
+
+def _positions(gate: Gate, n: int) -> tuple[tuple[int, ...], ...]:
+    """Target tuples of a gate's local matrix: its qubits, or a sum gate's ring."""
+    return (gate.qubits,) if gate.qubits else _ring(len(GATES[gate.name].pauli), n)
+
+
 def _apply_gate(
     batch: np.ndarray, gate: Gate, theta: np.ndarray, n: int, mat: np.ndarray | None = None
 ) -> np.ndarray:
     """One gate applied to a tensor-shaped batch (B, 2, ..., 2).
 
     mat is the gate's local matrix at theta if already built; without it the
-    matrix is built here. A sum gate applies it at each ring position
-    (i, i+1, ...) mod n, i = 1..n.
+    matrix is built here. A sum gate applies it at each ring position.
     """
     if mat is None:
         mat = gate_matrix(gate, theta)
-    if gate.qubits:
-        return _apply_local(batch, mat, gate.qubits)
-    width = len(GATES[gate.name].pauli)
-    for i in range(n):
-        batch = _apply_local(batch, mat, tuple((i + j) % n + 1 for j in range(width)))
+    for qubits in _positions(gate, n):
+        batch = _apply_local(batch, mat, qubits)
     return batch
 
 
 def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int, mats):
     """Validate the inputs, then yield the batch as a (B, 2, ..., 2) tensor:
-    first as given, then after each of gates[start:].
+    first as given, then after each of gates[start:], except that a diagonal
+    run is one step: the entries of its gates but the last are the batch
+    before it, the same array. A start inside a run applies the whole run.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.param_count,):
@@ -213,9 +250,17 @@ def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int,
         raise ValueError(f"state dimension {batch.shape[1]} does not match n={circuit.n}")
     tensor = batch.reshape([len(batch)] + [2] * circuit.n)
     yield tensor
-    for k in range(start, len(circuit.gates)):
-        mat = None if mats is None else mats[k]
-        tensor = _apply_gate(tensor, circuit.gates[k], theta, circuit.n, mat)
+    for lo, hi, slots, signs in circuit.steps:
+        if hi <= start:
+            continue
+        if signs is None:
+            mat = None if mats is None else mats[lo]
+            tensor = _apply_gate(tensor, circuit.gates[lo], theta, circuit.n, mat)
+        else:
+            for _ in range(max(lo, start) + 1, hi):
+                yield tensor
+            phase = np.exp(-1j * (theta[slots] @ signs))
+            tensor = tensor * phase.reshape([2] * circuit.n)
         yield tensor
 
 
@@ -229,10 +274,11 @@ def apply_circuit(
     """Evolve one state vector or a batch of them through the circuit.
 
     states has shape (2**n,) or (B, 2**n); the same shape comes back. With
-    start > 0 only gates[start:] are applied, which lets callers resume from a
-    cached intermediate state. mats, when given, is gate_matrices(circuit,
-    theta); callers that evaluate one theta repeatedly pass it to skip
-    rebuilding the local matrices.
+    start > 0 only gates[start:] are applied, which lets callers resume from
+    entry start of apply_circuit_trace (inside a diagonal run, the whole run is
+    applied). mats, when given, is gate_matrices(circuit, theta); callers that
+    evaluate one theta repeatedly pass it to skip rebuilding the local matrices
+    (a run reads theta, not its gates' matrices).
     """
     for tensor in _evolve(circuit, theta, states, start, mats):
         pass
@@ -249,13 +295,20 @@ def apply_circuit_trace(
     """Like apply_circuit on a (B, 2**n) batch, but keeps every intermediate.
 
     Returns a list of length len(gates) + 1 of flat (B, 2**n) snapshots;
-    entry k is the state before gate k, the last entry is the final state.
+    entry k is the state before gate k, or before its run if gate k lies in
+    a diagonal run (every such entry is the same array), and the last entry
+    is the final state. apply_circuit with start=k resumes from entry k.
     mats is as in apply_circuit.
     """
     # the input is copied once; reshape copies a transposed gate output, a
-    # contiguous one is a fresh array already, and no gate writes to its input
-    steps = _evolve(circuit, theta, np.array(states, dtype=complex), 0, mats)
-    return [t.reshape(len(t), 2**circuit.n) for t in steps]
+    # contiguous one is a fresh array already, and no gate writes to its input;
+    # a batch yielded again inside a run is flattened once
+    trace, last = [], None
+    for t in _evolve(circuit, theta, np.array(states, dtype=complex), 0, mats):
+        if t is not last:
+            last, flat = t, t.reshape(len(t), 2**circuit.n)
+        trace.append(flat)
+    return trace
 
 
 def unitary(circuit: Circuit, theta: np.ndarray) -> np.ndarray:

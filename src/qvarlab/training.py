@@ -12,7 +12,9 @@ shifted angle only recomputes the circuit suffix that depends on it, and by
 building the gate matrices once per theta, so that a probe rebuilds only the
 matrices of the gates reading the shifted slot. Both are bitwise identical to
 a full re-evaluation, since the reused prefix and matrices are the same
-floats either way.
+floats either way. A diagonal run of gates (circuits.Circuit.steps) is one
+step of the kernel: the snapshot of a gate inside it is the state before the
+run, and a probe of its slot reapplies the whole run with the shifted angle.
 """
 from __future__ import annotations
 

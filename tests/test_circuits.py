@@ -84,8 +84,9 @@ def test_sum_gate_rejects_register_narrower_than_its_string():
 
 
 def test_sum_gate_needs_no_dense_generator():
-    # the per-position rule touches only the batch and 8x8 local matrices;
-    # a dense 2^n x 2^n generator at n=10 alone is 16 MB
+    # the per-position rule and the sum Z phase touch only the batch, 8x8
+    # local matrices and 2^n-long sign rows; a dense 2^n x 2^n generator at
+    # n=10 alone is 16 MB
     c = qc.hva_cluster(10, 1)
     th = np.array([0.3, -0.7, 1.1])
     psi = np.zeros(2**10, dtype=complex)
@@ -200,6 +201,67 @@ def test_apply_circuit_with_precomputed_matrices_is_bitwise_equal(circuit):
     k = len(circuit.gates) // 2
     resumed = qc.apply_circuit(circuit, th, trace[k], start=k, mats=mats)
     assert resumed.tobytes() == full.tobytes()
+
+
+def _per_gate_reference(circuit, theta, batch):
+    """The unfused kernel: every gate through _apply_gate, in list order."""
+    tensor = batch.reshape([len(batch)] + [2] * circuit.n)
+    for g in circuit.gates:
+        tensor = qc._apply_gate(tensor, g, theta, circuit.n)
+    return tensor.reshape(len(batch), 2**circuit.n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 10])
+def test_diagonal_runs_match_per_gate_kernel(n):
+    rng = np.random.default_rng(n)
+    d = 2**n
+    for c in (qc.hea(n, 2), qc.qcnn(n), qc.hva_cluster(n, 2)):
+        th = rng.uniform(0, 2 * np.pi, c.param_count)
+        batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        got = qc.apply_circuit(c, th, batch)
+        assert np.max(np.abs(got - _per_gate_reference(c, th, batch))) < 1e-13
+        want = _per_gate_reference(c, th, np.eye(d, dtype=complex)).T
+        assert np.max(np.abs(qc.unitary(c, th) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("circuit", [qc.qcnn(4), qc.qcnn(8), qc.hea(1, 3)])
+def test_lone_diagonal_terms_keep_per_gate_bits(circuit):
+    # a lone rzz or rz stays a zgemm, so these circuits have no run and
+    # their results are the per-gate kernel's, bit for bit
+    assert all(signs is None for _, _, _, signs in circuit.steps)
+    rng = np.random.default_rng(29)
+    th = rng.uniform(0, 2 * np.pi, circuit.param_count)
+    d = 2**circuit.n
+    batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    want = _per_gate_reference(circuit, th, batch)
+    assert qc.apply_circuit(circuit, th, batch).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("circuit", [qc.hea(3, 2), qc.hva_cluster(4, 2)])
+def test_resume_from_every_trace_entry_is_bitwise_full(circuit):
+    rng = np.random.default_rng(31)
+    th = rng.uniform(0, 2 * np.pi, circuit.param_count)
+    d = 2**circuit.n
+    batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    full = qc.apply_circuit(circuit, th, batch)
+    trace = qc.apply_circuit_trace(circuit, th, batch)
+    for k in range(len(circuit.gates) + 1):
+        resumed = qc.apply_circuit(circuit, th, trace[k], start=k)
+        assert resumed.tobytes() == full.tobytes(), k
+
+
+def test_trace_entries_inside_a_run_are_one_array():
+    c = qc.hea(3, 2)
+    runs = [(lo, hi) for lo, hi, _, signs in c.steps if signs is not None]
+    # each layer's two rzz and three rz, then its three rx one by one
+    assert runs == [(0, 5), (8, 13)]
+    rng = np.random.default_rng(37)
+    batch = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    trace = qc.apply_circuit_trace(c, rng.uniform(0, 2 * np.pi, c.param_count), batch)
+    for lo, hi in runs:
+        assert all(trace[k] is trace[lo] for k in range(lo, hi))
+        assert trace[hi] is not trace[lo]
 
 
 def test_apply_circuit_and_trace_reject_wrong_theta_length():
