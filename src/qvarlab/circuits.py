@@ -19,20 +19,17 @@ Rotation conventions:
   R_Z(phi) R_Y(theta) R_Z(lam) in the half-angle convention, and cu3 applies a
   u3 on the target controlled on the first qubit of the pair.
 
-Kernel: a state batch is a (B, 2, ..., 2) tensor, axis q holding qubit q. A
-local matrix on k target qubits is one BLAS matrix product: the target axes
-are moved last by a transpose (its axis plan cached per target tuple and
-rank), the tensor is flattened to (rows, 2**k) and multiplied by the
-transposed local matrix, and the axes are moved back. sumx and sumzxz make
-one such product per ring position. Callers that evaluate one theta many
-times build the local matrices once with gate_matrices and pass them in.
-
-Diagonal runs: rz, rzz and sumz have all-Z strings, so they are diagonal. A
-maximal stretch of them holding at least two Z terms (each hea layer's rzz
-and rz gates; an hva sumz) is one step: an elementwise multiply by
-exp(-i sum_t theta_t z_t(s)), the +-1 signs z_t(s) tabled once per circuit
-(Circuit.steps). A lone one-term gate (qcnn's rzz, the rz of hea(1, L)) stays
-a zgemm, since the product rounds differently: qcnn keeps its bits.
+Kernel: a state batch is a (B, 2, ..., 2) tensor, axis q holding qubit q,
+and a circuit is applied as Circuit.steps, each with one operator at theta
+(step_operator). Each gate that is not diagonal is a step, its operator its
+local matrix on k target qubits: one BLAS product, with the target axes moved
+last by a transpose (its axis plan cached per target tuple and rank), the
+tensor flattened to (rows, 2**k) and multiplied by the transposed matrix, and
+the axes moved back. sumx and sumzxz make one such product per ring position.
+rz, rzz and sumz have all-Z strings, so they are diagonal: each maximal
+stretch of them is a step whose operator is the phase table
+exp(-i sum_t theta_t z_t(s)) on the qubits it touches (the +-1 signs z_t(s)
+tabled once per circuit), multiplied into the batch broadcast over the rest.
 """
 from __future__ import annotations
 
@@ -89,20 +86,23 @@ class Circuit:
 
     @cached_property
     def steps(self) -> tuple[tuple, ...]:
-        """(lo, hi, slots, signs) per step of gates[lo:hi]. slots and signs are
-        None for a single gate; a diagonal run has one slot per gate and a sign
-        table, row t the sum of gate t's term signs on every basis state."""
-        z = 1.0 - 2.0 * ((np.arange(2**self.n) >> np.arange(self.n)[::-1, None]) & 1)
+        """(lo, hi, slots, signs, shape) per step of gates[lo:hi]: for a diagonal
+        run, one slot per gate, a sign table (row t: gate t's term signs summed,
+        on the qubits the run touches) and its phase's broadcast shape; else None."""
         steps, lo = [], 0
         for diagonal, group in itertools.groupby(self.gates, lambda g: g.name in _DIAGONAL):
             group = list(group)
             hi = lo + len(group)
-            terms = [_positions(g, self.n) for g in group]
-            if diagonal and sum(map(len, terms)) >= 2:
-                table = [sum(np.prod(z[[q - 1 for q in pos]], axis=0) for pos in t) for t in terms]
-                steps.append((lo, hi, np.array([g.slots[0] for g in group]), np.array(table)))
-            else:  # a lone Z term stays a zgemm (module docstring)
-                steps.extend((k, k + 1, None, None) for k in range(lo, hi))
+            if diagonal:
+                terms = [_positions(g, self.n) for g in group]
+                axes = sorted({q for t in terms for pos in t for q in pos})
+                bits = np.arange(2 ** len(axes))
+                z = {q: 1.0 - 2.0 * ((bits >> len(axes) - 1 - i) & 1) for i, q in enumerate(axes)}
+                table = [sum(np.prod([z[q] for q in pos], axis=0) for pos in t) for t in terms]
+                shape = [2 if q in z else 1 for q in range(1, self.n + 1)]
+                steps.append((lo, hi, np.array([g.slots[0] for g in group]), np.array(table), shape))
+            else:
+                steps.extend((k, k + 1, None, None, None) for k in range(lo, hi))
             lo = hi
         return tuple(steps)
 
@@ -203,11 +203,6 @@ def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) ->
     return out.reshape(moved.shape).transpose(inv)
 
 
-def gate_matrices(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray]:
-    """Local matrix of every gate at theta."""
-    return [gate_matrix(g, theta) for g in circuit.gates]
-
-
 @lru_cache(maxsize=None)
 def _ring(width: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The ring positions (i, i+1, ...) mod n, i = 1..n, of a width-qubit string."""
@@ -234,7 +229,15 @@ def _apply_gate(
     return batch
 
 
-def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int, mats):
+def step_operator(circuit: Circuit, index: int, theta: np.ndarray) -> np.ndarray:
+    """Operator of circuit.steps[index] at theta: a gate's local matrix or a run's phase table."""
+    lo, _, slots, signs, shape = circuit.steps[index]
+    if signs is None:
+        return gate_matrix(circuit.gates[lo], theta)
+    return np.exp(-1j * (np.asarray(theta, dtype=float)[slots] @ signs)).reshape(shape)
+
+
+def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int, ops):
     """Validate the inputs, then yield the batch as a (B, 2, ..., 2) tensor:
     first as given, then after each of gates[start:], except that a diagonal
     run is one step: the entries of its gates but the last are the batch
@@ -250,17 +253,16 @@ def _evolve(circuit: Circuit, theta: np.ndarray, states: np.ndarray, start: int,
         raise ValueError(f"state dimension {batch.shape[1]} does not match n={circuit.n}")
     tensor = batch.reshape([len(batch)] + [2] * circuit.n)
     yield tensor
-    for lo, hi, slots, signs in circuit.steps:
+    for i, (lo, hi, _, signs, _) in enumerate(circuit.steps):
         if hi <= start:
             continue
+        op = step_operator(circuit, i, theta) if ops is None else ops[i]
         if signs is None:
-            mat = None if mats is None else mats[lo]
-            tensor = _apply_gate(tensor, circuit.gates[lo], theta, circuit.n, mat)
+            tensor = _apply_gate(tensor, circuit.gates[lo], theta, circuit.n, op)
         else:
             for _ in range(max(lo, start) + 1, hi):
                 yield tensor
-            phase = np.exp(-1j * (theta[slots] @ signs))
-            tensor = tensor * phase.reshape([2] * circuit.n)
+            tensor = tensor * op
         yield tensor
 
 
@@ -269,18 +271,17 @@ def apply_circuit(
     theta: np.ndarray,
     states: np.ndarray,
     start: int = 0,
-    mats: Sequence[np.ndarray] | None = None,
+    ops: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evolve one state vector or a batch of them through the circuit.
 
     states has shape (2**n,) or (B, 2**n); the same shape comes back. With
     start > 0 only gates[start:] are applied, which lets callers resume from
     entry start of apply_circuit_trace (inside a diagonal run, the whole run is
-    applied). mats, when given, is gate_matrices(circuit, theta); callers that
-    evaluate one theta repeatedly pass it to skip rebuilding the local matrices
-    (a run reads theta, not its gates' matrices).
+    applied). ops, when given, holds step_operator(circuit, i, theta) for
+    every step i, so that the operators are not rebuilt.
     """
-    for tensor in _evolve(circuit, theta, states, start, mats):
+    for tensor in _evolve(circuit, theta, states, start, ops):
         pass
     out = tensor.reshape(len(tensor), 2**circuit.n)
     return out[0] if np.ndim(states) == 1 else out
@@ -290,7 +291,7 @@ def apply_circuit_trace(
     circuit: Circuit,
     theta: np.ndarray,
     states: np.ndarray,
-    mats: Sequence[np.ndarray] | None = None,
+    ops: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Like apply_circuit on a (B, 2**n) batch, but keeps every intermediate.
 
@@ -298,13 +299,13 @@ def apply_circuit_trace(
     entry k is the state before gate k, or before its run if gate k lies in
     a diagonal run (every such entry is the same array), and the last entry
     is the final state. apply_circuit with start=k resumes from entry k.
-    mats is as in apply_circuit.
+    ops is as in apply_circuit.
     """
     # the input is copied once; reshape copies a transposed gate output, a
     # contiguous one is a fresh array already, and no gate writes to its input;
     # a batch yielded again inside a run is flattened once
     trace, last = [], None
-    for t in _evolve(circuit, theta, np.array(states, dtype=complex), 0, mats):
+    for t in _evolve(circuit, theta, np.array(states, dtype=complex), 0, ops):
         if t is not last:
             last, flat = t, t.reshape(len(t), 2**circuit.n)
         trace.append(flat)

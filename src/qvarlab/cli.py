@@ -296,8 +296,8 @@ def _read_config_file(path: str) -> dict:
     values = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):  # a value may hold a #
                 continue
             if "=" not in line:
                 raise ConfigError(f"bad config line {raw.strip()!r}")

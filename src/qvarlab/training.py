@@ -9,12 +9,11 @@ states' outcome distributions apart, which keeps the joint phase out of
 split-sector basins. All derivatives are central finite differences; the
 engine below makes them cheap by caching per-gate snapshots so that a
 shifted angle only recomputes the circuit suffix that depends on it, and by
-building the gate matrices once per theta, so that a probe rebuilds only the
-matrices of the gates reading the shifted slot. Both are bitwise identical to
-a full re-evaluation, since the reused prefix and matrices are the same
-floats either way. A diagonal run of gates (circuits.Circuit.steps) is one
-step of the kernel: the snapshot of a gate inside it is the state before the
-run, and a probe of its slot reapplies the whole run with the shifted angle.
+building each circuit step's operator (circuits.Circuit.steps) once per theta,
+so that a probe rebuilds only the steps reading the shifted slot. Both are
+bitwise identical to a full re-evaluation, since the reused prefix and
+operators are the same floats either way. A probe of a slot inside a diagonal
+run resumes from the state before the run.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, apply_circuit, apply_circuit_trace, gate_matrices, gate_matrix
+from .circuits import Circuit, apply_circuit, apply_circuit_trace, step_operator
 from .fisher import StateFamily
 from .observables import ensemble_outcomes, moments
 from .states import Ensemble, LabeledState
@@ -124,11 +123,10 @@ class _Engine:
     of weight 1, a MixtureModel item two rows, and I/d none. All rows go
     through the circuit as one batch; item i's outcome distribution is its
     rows' weighted marginals plus its noise weight spread evenly over the
-    outcomes, since U I U^dag = I. The
-    per-gate snapshot trace and the gate matrices of the last full evaluation
-    are kept, keyed by theta, so that finite-difference probes resume from
-    the first gate an angle touches and rebuild only the matrices of the
-    gates that read it; every other gate reuses its matrix.
+    outcomes, since U I U^dag = I. The per-gate snapshot trace and the step
+    operators of the last full evaluation are kept, keyed by theta, so that
+    finite-difference probes resume from the first gate an angle touches and
+    rebuild only the operators of the steps that read it.
     """
 
     def __init__(self, circuit: Circuit, m: int, trainset: TrainSet):
@@ -147,17 +145,18 @@ class _Engine:
         self.mix[owner, np.arange(len(owner))] = np.concatenate([e.weights for e in parts])
         self.noise = np.array([[e.noise] for e in parts])
         readers = [[] for _ in range(circuit.param_count)]
+        step_of = [i for i, (lo, hi, *_) in enumerate(circuit.steps) for _ in range(lo, hi)]
         for k, g in enumerate(circuit.gates):
             for s in set(g.slots):
                 readers[s].append(k)
         # first gate reading each slot; slots no gate reads keep len(gates) so
         # a probe there skips the circuit entirely
         self.first_gate = [r[0] if r else len(circuit.gates) for r in readers]
-        # gates whose local matrix a probe of each slot rebuilds; a qcnn slot
-        # is shared within a level, u3/cu3 read three
-        self.slot_gates = readers
+        # steps whose operator a probe of each slot rebuilds; a qcnn slot is
+        # shared within a level, u3/cu3 read three, a run reads one per gate
+        self.slot_steps = [sorted({step_of[k] for k in r}) for r in readers]
         self._theta = None
-        self._mats = None
+        self._ops = None
         self._trace = None
 
     def _probs_from_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -165,27 +164,27 @@ class _Engine:
         return np.clip(p, 0.0, None)
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
-        """Full evaluation; refreshes the gate matrices and the snapshot trace."""
+        """Full evaluation; refreshes the step operators and the snapshot trace."""
         # drop the old trace first, so that two never coexist
         self._trace = None
-        self._mats = gate_matrices(self.circuit, theta)
-        self._trace = apply_circuit_trace(self.circuit, theta, self.batch0, mats=self._mats)
+        self._ops = [step_operator(self.circuit, i, theta) for i in range(len(self.circuit.steps))]
+        self._trace = apply_circuit_trace(self.circuit, theta, self.batch0, ops=self._ops)
         self._theta = np.array(theta, copy=True)
         return self._probs_from_batch(self._trace[-1])
 
     def probs_shift(self, slot: int, value: float) -> np.ndarray:
         """Probabilities with one angle replaced, resuming from the cache.
 
-        Only the matrices of the gates reading the slot are rebuilt; every
-        other gate reuses the matrix of the last full evaluation.
+        Only the operators of the steps reading the slot are rebuilt; every
+        other step reuses the operator of the last full evaluation.
         """
         start = self.first_gate[slot]
         theta = np.array(self._theta, copy=True)
         theta[slot] = value
-        mats = list(self._mats)
-        for k in self.slot_gates[slot]:
-            mats[k] = gate_matrix(self.circuit.gates[k], theta)
-        batch = apply_circuit(self.circuit, theta, self._trace[start], start=start, mats=mats)
+        ops = list(self._ops)
+        for i in self.slot_steps[slot]:
+            ops[i] = step_operator(self.circuit, i, theta)
+        batch = apply_circuit(self.circuit, theta, self._trace[start], start=start, ops=ops)
         return self._probs_from_batch(batch)
 
 

@@ -192,15 +192,18 @@ def test_apply_circuit_with_precomputed_matrices_is_bitwise_equal(circuit):
     th = rng.uniform(0, 2 * np.pi, circuit.param_count)
     d = 2**circuit.n
     batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
-    mats = qc.gate_matrices(circuit, th)
-    assert all(isinstance(m, np.ndarray) for m in mats)
+    # one operator per step: a gate's local matrix or a run's phase table
+    ops = [qc.step_operator(circuit, i, th) for i in range(len(circuit.steps))]
+    for (lo, _, _, signs, shape), op in zip(circuit.steps, ops):
+        k = 2 ** len(qc._positions(circuit.gates[lo], circuit.n)[0])
+        assert op.shape == ((k, k) if signs is None else tuple(shape))
     full = qc.apply_circuit(circuit, th, batch)
-    assert qc.apply_circuit(circuit, th, batch, mats=mats).tobytes() == full.tobytes()
-    trace = qc.apply_circuit_trace(circuit, th, batch, mats=mats)
+    assert qc.apply_circuit(circuit, th, batch, ops=ops).tobytes() == full.tobytes()
+    trace = qc.apply_circuit_trace(circuit, th, batch, ops=ops)
     assert trace[-1].tobytes() == full.tobytes()
-    k = len(circuit.gates) // 2
-    resumed = qc.apply_circuit(circuit, th, trace[k], start=k, mats=mats)
-    assert resumed.tobytes() == full.tobytes()
+    for k in range(len(circuit.gates) + 1):
+        resumed = qc.apply_circuit(circuit, th, trace[k], start=k, ops=ops)
+        assert resumed.tobytes() == full.tobytes(), k
 
 
 def _per_gate_reference(circuit, theta, batch):
@@ -211,11 +214,16 @@ def _per_gate_reference(circuit, theta, batch):
     return tensor.reshape(len(batch), 2**circuit.n)
 
 
-@pytest.mark.parametrize("n", [3, 5, 8, 10])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 10])
 def test_diagonal_runs_match_per_gate_kernel(n):
+    # every Z-only gate is in a run, a lone one too (qcnn's rzz, the rz of
+    # hea(1, L)); its elementwise product rounds apart from the zgemm
     rng = np.random.default_rng(n)
-    d = 2**n
-    for c in (qc.hea(n, 2), qc.qcnn(n), qc.hva_cluster(n, 2)):
+    for c in (qc.hea(n, 2), qc.qcnn(n), qc.hva_cluster(n, 2), qc.hea(1, n)):
+        for lo, hi, _, signs, _ in c.steps:
+            z_only = any(g.name in qc._DIAGONAL for g in c.gates[lo:hi])
+            assert z_only == (signs is not None)
+        d = 2**c.n
         th = rng.uniform(0, 2 * np.pi, c.param_count)
         batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
@@ -225,20 +233,7 @@ def test_diagonal_runs_match_per_gate_kernel(n):
         assert np.max(np.abs(qc.unitary(c, th) - want)) < 1e-13
 
 
-@pytest.mark.parametrize("circuit", [qc.qcnn(4), qc.qcnn(8), qc.hea(1, 3)])
-def test_lone_diagonal_terms_keep_per_gate_bits(circuit):
-    # a lone rzz or rz stays a zgemm, so these circuits have no run and
-    # their results are the per-gate kernel's, bit for bit
-    assert all(signs is None for _, _, _, signs in circuit.steps)
-    rng = np.random.default_rng(29)
-    th = rng.uniform(0, 2 * np.pi, circuit.param_count)
-    d = 2**circuit.n
-    batch = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
-    want = _per_gate_reference(circuit, th, batch)
-    assert qc.apply_circuit(circuit, th, batch).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("circuit", [qc.hea(3, 2), qc.hva_cluster(4, 2)])
+@pytest.mark.parametrize("circuit", [qc.hea(3, 2), qc.hva_cluster(4, 2), qc.qcnn(4)])
 def test_resume_from_every_trace_entry_is_bitwise_full(circuit):
     rng = np.random.default_rng(31)
     th = rng.uniform(0, 2 * np.pi, circuit.param_count)
@@ -253,7 +248,7 @@ def test_resume_from_every_trace_entry_is_bitwise_full(circuit):
 
 def test_trace_entries_inside_a_run_are_one_array():
     c = qc.hea(3, 2)
-    runs = [(lo, hi) for lo, hi, _, signs in c.steps if signs is not None]
+    runs = [(lo, hi) for lo, hi, _, signs, _ in c.steps if signs is not None]
     # each layer's two rzz and three rz, then its three rx one by one
     assert runs == [(0, 5), (8, 13)]
     rng = np.random.default_rng(37)

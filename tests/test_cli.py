@@ -243,6 +243,22 @@ def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
         assert path.read_bytes() == (tmp_path / path.name.replace("a_", "b_", 1)).read_bytes()
 
 
+def test_sidecar_replay_keeps_an_out_path_holding_a_hash(tmp_path):
+    # only a line whose first non-blank character is # is a comment
+    out = tmp_path / "hash#dir"
+    out.mkdir()
+    argv = ["analytic", "--n", "2", "--m", "1", "--eval-points", "3", "--out", str(out / "a")]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    sidecar = tmp_path / "replay.cfg"
+    sidecar.write_bytes(first["a_config.txt"])
+    for p in out.iterdir():
+        p.unlink()
+    assert main(["--config", str(sidecar)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hash#dir", "replay.cfg"]
+
+
 def _other_value(f):
     """A non-default value for one ExperimentConfig field, as text and parsed."""
     if f.name == "m":

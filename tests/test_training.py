@@ -192,7 +192,7 @@ def test_gradient_bitwise_matches_naive_probes():
 
 @pytest.mark.parametrize("circuit", [qc.hea(4, 2), qc.qcnn(8), qc.hva_cluster(6, 2)])
 def test_probs_shift_bitwise_matches_full_evaluation(circuit):
-    # probs_shift rebuilds only the matrices of the gates reading the slot;
+    # probs_shift rebuilds only the operators of the steps reading the slot;
     # qcnn shares slots within a level and its u3/cu3 gates read three
     rng = np.random.default_rng(29)
     d = 2**circuit.n
@@ -208,6 +208,25 @@ def test_probs_shift_bitwise_matches_full_evaluation(circuit):
         shifted[slot] += 1e-5
         got = engine.probs_shift(slot, shifted[slot])
         assert got.tobytes() == fresh.probs(shifted).tobytes()
+
+
+def test_engine_builds_no_matrix_for_a_diagonal_gate(monkeypatch):
+    # hea(5, 5) has 70 gates, 45 of them rz or rzz in five runs: only its 25
+    # rx gates have a local matrix
+    built = []
+    monkeypatch.setattr(qc, "gate_matrix", lambda g, th: built.append(g) or np.eye(2))
+    c = qc.hea(5, 5)
+    rng = np.random.default_rng(41)
+    rows = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    engine = _Engine(c, 1, TrainSet(items=tuple(LabeledState(k, psi=r) for k, r in enumerate(rows))))
+    engine.probs(rng.uniform(0, 2 * np.pi, c.param_count))
+    assert len(built) == 25 and {g.name for g in built} == {"rx"}
+    built.clear()
+    for slot in range(c.param_count):
+        if c.gates[slot].name != "rx":  # hea's slot s is read by gate s alone
+            engine.probs_shift(slot, 0.1)
+    assert built == []
 
 
 def test_gradient_matches_directional_derivative():
@@ -235,7 +254,7 @@ def test_gradient_zero_at_exact_fit_with_deterministic_probs():
     assert np.max(np.abs(g)) < 1e-11
 
 
-def test_engine_modes_agree_on_loss():
+def test_pure_and_density_train_sets_agree_on_loss():
     rng = np.random.default_rng(33)
     c = qc.hva_cluster(8, 1)
     theta = rng.uniform(0, 2 * np.pi, c.param_count)
@@ -254,7 +273,9 @@ def test_engine_modes_agree_on_loss():
         )
     )
     a = loss(lam, theta, pure_ts, cfg, c, 1)
-    b = loss(lam, theta, dens_ts, cfg, c, 1)  # d=256 forces the two-pass path
+    # each rho = |psi><psi| is eigendecomposed into one row, psi up to phase,
+    # so pure and density train sets of the same states give the same loss
+    b = loss(lam, theta, dens_ts, cfg, c, 1)
     assert abs(a - b) < 1e-10
     small = qc.hea(2, 1)
     th2 = rng.uniform(0, 2 * np.pi, small.param_count)
