@@ -27,7 +27,7 @@ from .mixture import (
     variance_partial,
 )
 from .observables import ParamObservable, moments, naimark_embed, probabilities
-from .states import LabeledState, ground_state
+from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ground_state
 from .training import TrainConfig, TrainSet, make_trainset, train
 
 CSV_HEADER = "alpha,prediction,sq_error,variance,inv_cfi,inv_qfi,analytic_variance,flag"
@@ -279,10 +279,27 @@ def run(config: ExperimentConfig) -> list[str]:
 
 
 def _embed_item(item: LabeledState, ma: int) -> LabeledState:
+    """The item with ma fresh |0> ancillas appended (observables.naimark_embed).
+
+    A mixed item keeps an ensemble: each of its rows becomes row x |0...0>,
+    and its noise, white on the data qubits only, becomes d rows
+    e_j x |0...0> of weight noise/d each (dropped at or below ENSEMBLE_FLOOR),
+    with no noise left. The e_j rows are the same bytes in every item, so the
+    training engine evolves them once per train set.
+    """
     arr = naimark_embed(item, ma)
     if arr.ndim == 1:
         return LabeledState(label=item.label, psi=arr)
-    return LabeledState(label=item.label, rho=arr)
+    ens = item.ensemble()
+    d = item.dim
+    rows, weights = ens.rows, ens.weights
+    if ens.noise / d > ENSEMBLE_FLOOR:
+        rows = np.concatenate([rows, np.eye(d, dtype=complex)])
+        weights = np.concatenate([weights, np.full(d, ens.noise / d)])
+    embedded = np.zeros((len(rows), d, 2**ma), dtype=complex)
+    embedded[:, :, 0] = rows
+    ens = Ensemble(weights, embedded.reshape(len(rows), -1), 0.0)
+    return LabeledState(label=item.label, rho=arr, ens=ens)
 
 
 def _parse_m(text: str) -> tuple[int, ...]:

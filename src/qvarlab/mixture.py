@@ -12,6 +12,7 @@ kept only as a documented reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import linalg
 from .fisher import StateFamily, fisher_information, outcome_probs
 from .observables import SpectralObservable
-from .states import LabeledState, ghz, mixture_state, rank2_state
+from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ghz, mixture_state, rank2_state
 
 EIG_FLOOR = 1e-15
 SLOPE_TOL = 1e-12
@@ -59,9 +60,26 @@ class MixtureModel:
     def rho(self, alpha: float) -> np.ndarray:
         return mixture_state(alpha, self.rho1(), self.rho2())
 
+    def ensemble(self, alpha: float) -> Ensemble:
+        """rho(alpha) in closed form: rows v1, v2 of weights alpha r and
+        alpha (1-r), the ones at or below ENSEMBLE_FLOOR dropped, plus noise
+        1 - alpha. The rows are taken from one array built once per model, so
+        the states of a train set share them byte for byte and the training
+        engine evolves two rows for the whole set.
+        """
+        weights = alpha * np.array([self.r, 1.0 - self.r])
+        keep = weights > ENSEMBLE_FLOOR
+        return Ensemble(weights[keep], self._signal_rows[keep], 1.0 - alpha)
+
+    @cached_property
+    def _signal_rows(self) -> np.ndarray:
+        return np.stack([self.v1, self.v2])
+
     def family(self) -> StateFamily:
         return StateFamily(
-            evaluator=lambda a: LabeledState(label=float(a), rho=self.rho(a)),
+            evaluator=lambda a: LabeledState(
+                label=float(a), rho=self.rho(a), ens=self.ensemble(a)
+            ),
             alpha_range=(0.0, 1.0),
         )
 

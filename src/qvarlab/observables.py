@@ -8,9 +8,12 @@ is
     M = sum_i lambda_i U(theta)^dag (I x |i><i|) U(theta),
 
 so every projector has rank 2**(n-m). Probabilities, expectation values and
-variances are computed by evolving the state's weighted pure rows (see
-states.white_noise_ensemble) and marginalizing the outcome bits, which agrees
-with the dense projector route but stays cheap.
+variances are computed by evolving the state's weighted pure rows and
+marginalizing the outcome bits, which agrees with the dense projector route
+but stays cheap. A LabeledState brings its own rows (LabeledState.ensemble:
+the mixture family's closed form, two rows); a bare vector or density matrix
+is decomposed by states.white_noise_ensemble, one eigendecomposition of a
+density matrix per call.
 """
 from __future__ import annotations
 
@@ -88,10 +91,15 @@ def ensemble_outcomes(rows: np.ndarray, weights: np.ndarray, noise, m: int) -> n
 def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:
     """Outcome distribution over the 2**m readout results.
 
-    state is a vector, a density matrix, or a LabeledState. Values below
-    1e-14 are clamped to exactly zero.
+    state is a vector, a density matrix, or a LabeledState; a LabeledState
+    is evolved as its own ensemble (LabeledState.ensemble), so a mixture
+    family state costs no eigendecomposition. Values below 1e-14 are clamped
+    to exactly zero.
     """
-    ens = white_noise_ensemble(_coerce_state(state))
+    if isinstance(state, LabeledState):
+        ens = state.ensemble()
+    else:
+        ens = white_noise_ensemble(_coerce_state(state))
     rows = apply_circuit(obs.circuit, theta, ens.rows)
     p = ensemble_outcomes(rows, ens.weights, ens.noise, obs.m)
     p[p < PROB_CLAMP] = 0.0

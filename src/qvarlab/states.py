@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -13,6 +13,7 @@ GAP_TOL = 1e-10
 EIGENVALUE_CLIP = -1e-10
 NORM_TOL = 1e-10
 ENSEMBLE_FLOOR = 1e-13
+ENSEMBLE_TOL = 1e-10
 
 
 class DegenerateGroundSpaceWarning(UserWarning):
@@ -23,12 +24,16 @@ class DegenerateGroundSpaceWarning(UserWarning):
 class LabeledState:
     """A quantum state tagged with the real label it encodes.
 
-    Exactly one of psi (unit vector) or rho (density matrix) is set.
+    Exactly one of psi (unit vector) or rho (density matrix) is set. A rho
+    may come with its ensemble (weighted pure rows plus white noise) when
+    the caller knows it in closed form; it is checked against rho to
+    ENSEMBLE_TOL at construction.
     """
 
     label: float
     psi: np.ndarray | None = None
     rho: np.ndarray | None = None
+    ens: Ensemble | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if (self.psi is None) == (self.rho is None):
@@ -47,6 +52,15 @@ class LabeledState:
             if abs(tr - 1.0) > 1e-8:
                 raise ValueError(f"rho must have unit trace (got {tr:.12f})")
             object.__setattr__(self, "rho", rho)
+        if self.ens is not None:
+            if self.rho is None:
+                raise ValueError("an ensemble may only accompany rho")
+            shape = np.shape(self.ens.rows)
+            if shape != (len(self.ens.weights), self.dim):
+                raise ValueError(f"ensemble rows have shape {shape} for dimension {self.dim}")
+            defect = np.max(np.abs(_ensemble_density(self.ens) - self.rho))
+            if defect > ENSEMBLE_TOL:
+                raise ValueError(f"ensemble misses rho by {defect:.3e}")
 
     @property
     def is_pure(self) -> bool:
@@ -62,7 +76,14 @@ class LabeledState:
         return self.rho
 
     def ensemble(self) -> Ensemble:
-        """This state as weighted pure rows plus white noise."""
+        """This state as weighted pure rows plus white noise.
+
+        The ensemble given at construction if there is one (the mixture
+        family's closed form, whose rows every item of a train set shares
+        byte for byte), else white_noise_ensemble of psi or rho.
+        """
+        if self.ens is not None:
+            return self.ens
         return white_noise_ensemble(self.psi if self.is_pure else self.rho)
 
 
@@ -72,6 +93,15 @@ class Ensemble(NamedTuple):
     weights: np.ndarray
     rows: np.ndarray
     noise: float
+
+
+def _ensemble_density(ens: Ensemble) -> np.ndarray:
+    """The d x d matrix sum_k w_k |r_k><r_k| + noise * I/d."""
+    rows = np.asarray(ens.rows, dtype=complex)
+    dim = rows.shape[1]
+    rho = (rows.T * ens.weights) @ rows.conj()
+    rho[np.diag_indices(dim)] += ens.noise / dim
+    return rho
 
 
 def white_noise_ensemble(state) -> Ensemble:

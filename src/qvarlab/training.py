@@ -61,7 +61,12 @@ class TrainSet:
 
     @cached_property
     def ensembles(self) -> tuple[Ensemble, ...]:
-        """Every item as weighted pure rows plus white noise, computed once per set."""
+        """Every item as weighted pure rows plus white noise, computed once per set.
+
+        Each is the item's LabeledState.ensemble: a pure item's one row, a
+        MixtureModel item's closed form (rows shared by every item of the
+        set), else one eigendecomposition of rho.
+        """
         return tuple(it.ensemble() for it in self.items)
 
     def __len__(self) -> int:
@@ -120,13 +125,17 @@ class _Engine:
 
     Every item is written as weighted pure rows plus a white-noise weight
     (TrainSet.ensembles, computed once per train set): a pure item is one row
-    of weight 1, a MixtureModel item two rows, and I/d none. All rows go
-    through the circuit as one batch; item i's outcome distribution is its
-    rows' weighted marginals plus its noise weight spread evenly over the
-    outcomes, since U I U^dag = I. The per-gate snapshot trace and the step
-    operators of the last full evaluation are kept, keyed by theta, so that
-    finite-difference probes resume from the first gate an angle touches and
-    rebuild only the operators of the steps that read it.
+    of weight 1, a MixtureModel item two rows, and I/d none. Rows that several
+    items share, by their exact bytes, are kept once, so a mixture train set
+    of any size is two rows; pure items keep one row each, in order. The
+    distinct rows go through the circuit as one batch; item i's outcome
+    distribution is mix[i] applied to their marginals plus its noise weight
+    spread evenly over the outcomes, since U I U^dag = I. A Naimark-embedded
+    mixture (cli._embed_item) shares its noise rows e_j x |0...0> the same
+    way. The per-gate snapshot trace and the step operators of the last full
+    evaluation are kept, keyed by theta, so that finite-difference probes
+    resume from the first gate an angle touches and rebuild only the
+    operators of the steps that read it.
     """
 
     def __init__(self, circuit: Circuit, m: int, trainset: TrainSet):
@@ -138,11 +147,18 @@ class _Engine:
         self.m = m
         self.labels = trainset.labels
         parts = trainset.ensembles
-        self.batch0 = np.concatenate([e.rows for e in parts])
-        # mix[i, r] is row r's weight in item i; rows of other items weigh 0
-        owner = np.repeat(np.arange(len(parts)), [len(e.weights) for e in parts])
-        self.mix = np.zeros((len(parts), len(owner)))
-        self.mix[owner, np.arange(len(owner))] = np.concatenate([e.weights for e in parts])
+        # each distinct row (by its exact bytes) is evolved once, in order of
+        # first occurrence; mix[i, u] is item i's total weight on row u
+        unique = {}
+        for e in parts:
+            for row in e.rows:
+                unique.setdefault(row.tobytes(), row)
+        index = {key: u for u, key in enumerate(unique)}
+        self.batch0 = np.array(list(unique.values()), dtype=complex).reshape(-1, trainset.dim)
+        self.mix = np.zeros((len(parts), len(unique)))
+        for i, e in enumerate(parts):
+            for w, row in zip(e.weights, e.rows):
+                self.mix[i, index[row.tobytes()]] += w
         self.noise = np.array([[e.noise] for e in parts])
         readers = [[] for _ in range(circuit.param_count)]
         step_of = [i for i, (lo, hi, *_) in enumerate(circuit.steps) for _ in range(lo, hi)]

@@ -10,7 +10,11 @@ import pytest
 import qvarlab
 from qvarlab import cli
 from qvarlab.cli import CSV_HEADER, ConfigError, ExperimentConfig, main, run
+from qvarlab.circuits import apply_circuit, hea
 from qvarlab.mixture import qfi_commuting, variance_full, variance_partial
+from qvarlab.observables import ensemble_outcomes, naimark_embed
+from qvarlab.states import white_noise_ensemble
+from qvarlab.training import TrainSet, _Engine
 
 
 def _read_rows(path):
@@ -227,6 +231,26 @@ def test_naimark_run_writes_single_file(tmp_path):
         # the embedding preserves the model, so the full-basis curve applies
         assert abs(row["analytic_variance"] - variance_full(row["alpha"], 1, 0.25)) < 1e-14
     assert rows[1]["inv_cfi"] is not None
+
+
+def test_naimark_mixture_items_share_their_noise_rows():
+    # the embedded noise is d rows e_j x |0>, the same bytes in every item,
+    # so the engine evolves 2 signal rows plus d noise rows for the whole set
+    fam = cli.FAMILY_BUILDERS["mixture"](ExperimentConfig("mixture", n=2))
+    ts = TrainSet(items=tuple(cli._embed_item(fam.state(a), 1) for a in (0.0, 0.4, 0.7, 1.0)))
+    for it in ts.items:
+        assert np.array_equal(it.rho, naimark_embed(fam.state(it.label).rho, 1))
+        assert it.ensemble().noise == 0.0
+    circuit = hea(3, 2)
+    engine = _Engine(circuit, 1, ts)
+    assert engine.batch0.shape == (2 + 4, 8)
+    theta = np.random.default_rng(3).uniform(0, 2 * np.pi, circuit.param_count)
+    want = []
+    for it in ts.items:
+        ens = white_noise_ensemble(it.rho)
+        rows = apply_circuit(circuit, theta, ens.rows)
+        want.append(ensemble_outcomes(rows, ens.weights, ens.noise, 1))
+    assert np.max(np.abs(engine.probs(theta) - np.array(want))) < 1e-12
 
 
 @pytest.mark.parametrize("argv", [

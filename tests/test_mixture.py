@@ -48,6 +48,21 @@ def test_rho_endpoints_and_family():
         fam.state(1.5)
 
 
+def test_family_states_carry_the_closed_form_ensemble():
+    # rows v1, v2 of weights (alpha r, alpha (1-r)), zero weights dropped,
+    # noise 1 - alpha; LabeledState checks each against rho
+    for r, kept in ((0.3, 2), (0.0, 1), (1.0, 1)):
+        m = MixtureModel(3, r)
+        fam = m.family()
+        for a in (0.0, 0.25, 1.0):
+            ens = fam.state(a).ensemble()
+            assert ens.noise == 1.0 - a
+            assert len(ens.rows) == len(ens.weights) == (0 if a == 0.0 else kept)
+            assert abs(ens.weights.sum() - a) < 1e-15
+        # every state's rows are the same bytes, row for row
+        assert fam.state(0.5).ensemble().rows.tobytes() == fam.state(0.9).ensemble().rows.tobytes()
+
+
 def test_eigenbasis_diagonalizes_rho1_descending():
     for r in (0.25, 0.5, 0.8):
         m = MixtureModel(3, r)

@@ -60,6 +60,28 @@ def test_labeled_state_validation():
         states.LabeledState(label=0.1, rho=np.diag([0.7, 0.7]))
 
 
+def test_labeled_state_ensemble_is_checked_against_rho():
+    v = np.eye(4, dtype=complex)[[0, 3]]
+    rho = 0.5 * (0.75 * np.outer(v[0], v[0]) + 0.25 * np.outer(v[1], v[1])) + 0.5 * np.eye(4) / 4
+    ens = states.Ensemble(np.array([0.375, 0.125]), v, 0.5)
+    st = states.LabeledState(label=0.5, rho=rho, ens=ens)
+    assert st.ensemble() is ens
+    off = states.Ensemble(np.array([0.375 + 2e-10, 0.125]), v, 0.5)
+    with pytest.raises(ValueError, match="misses rho"):
+        states.LabeledState(label=0.5, rho=rho, ens=off)
+    with pytest.raises(ValueError):
+        states.LabeledState(label=0.5, psi=v[0], ens=states.Ensemble(np.ones(1), v[:1], 0.0))
+    # rows of another width, even if they hold the right number of entries
+    wide = states.Ensemble(ens.weights[:1], v.reshape(1, 8), 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        states.LabeledState(label=0.5, rho=rho, ens=wide)
+    # white noise alone: no rows at all
+    white = states.LabeledState(
+        label=0.0, rho=np.eye(4) / 4, ens=states.Ensemble(np.zeros(0), v[:0], 1.0)
+    )
+    assert len(white.ensemble().rows) == 0
+
+
 def test_fidelity_known_values():
     e0 = np.diag([1.0, 0.0]).astype(complex)
     e1 = np.diag([0.0, 1.0]).astype(complex)

@@ -5,7 +5,8 @@ from qvarlab import circuits as qc
 from qvarlab import observables as obs_mod
 from qvarlab.mixture import MixtureModel, variance_partial
 from qvarlab.observables import ParamObservable
-from qvarlab.states import LabeledState
+from qvarlab.observables import ensemble_outcomes
+from qvarlab.states import LabeledState, white_noise_ensemble
 from qvarlab.training import (
     _Engine,
     _spread,
@@ -115,6 +116,56 @@ def test_trainset_ensembles_computed_once():
     a = loss(lam, theta, ts, TrainConfig(), c, 1)
     assert ts.ensembles is first
     assert loss(lam, theta, ts, TrainConfig(), c, 1) == a
+
+
+def _random_orthonormal_pair(rng, d):
+    g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+    q = np.linalg.qr(g)[0]
+    return q[:, 0], q[:, 1]
+
+
+def _per_item_probs(circuit, theta, m, items):
+    """Each item's outcome distribution from its own eigendecomposition of rho."""
+    out = []
+    for it in items:
+        ens = white_noise_ensemble(it.rho)
+        rows = qc.apply_circuit(circuit, theta, ens.rows)
+        out.append(ensemble_outcomes(rows, ens.weights, ens.noise, m))
+    return np.array(out)
+
+
+def test_pure_train_set_engine_rows_are_its_states():
+    # distinct pure rows are the batch as they are, in order, with a one-hot mix
+    rng = np.random.default_rng(5)
+    psis = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    ts = TrainSet(items=tuple(LabeledState(0.1 * k, psi=p) for k, p in enumerate(psis)))
+    e = _Engine(qc.hea(4, 1), 2, ts)
+    assert e.batch0.tobytes() == np.stack([it.psi for it in ts.items]).tobytes()
+    assert np.array_equal(e.mix, np.eye(6))
+    assert not e.noise.any()
+
+
+def test_mixture_train_set_evolves_two_rows():
+    # random v1, v2, so an eigensolver would return distinct rows per item;
+    # the family's closed form gives every item the same two rows
+    rng = np.random.default_rng(8)
+    v1, v2 = _random_orthonormal_pair(rng, 8)
+    model = MixtureModel(3, 0.3, v1, v2)
+    ts = make_trainset(model.family(), 10, 0.0, 1.0)
+    c = qc.hea(3, 2)
+    e = _Engine(c, 2, ts)
+    assert e.batch0.shape == (2, 8)
+    assert np.array_equal(e.batch0, np.stack([model.v1, model.v2]))
+    # the alpha = 0 item is white noise: no rows, all weight on the noise
+    assert len(ts.items[0].ensemble().rows) == 0
+    assert not e.mix[0].any() and e.noise[0, 0] == 1.0
+    for _ in range(3):
+        theta = rng.uniform(0, 2 * np.pi, c.param_count)
+        got = e.probs(theta)
+        assert np.allclose(got[0], 0.25, rtol=0, atol=1e-15)
+        want = _per_item_probs(c, theta, 2, ts.items)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_loss_permutation_invariant():
