@@ -26,7 +26,7 @@ from .mixture import (
     variance_full,
     variance_partial,
 )
-from .observables import ParamObservable, moments, naimark_embed, probabilities
+from .observables import ParamObservable, moments, probabilities
 from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ground_state
 from .training import TrainConfig, TrainSet, make_trainset, train
 
@@ -279,17 +279,15 @@ def run(config: ExperimentConfig) -> list[str]:
 
 
 def _embed_item(item: LabeledState, ma: int) -> LabeledState:
-    """The item with ma fresh |0> ancillas appended (observables.naimark_embed).
+    """The item with ma fresh |0> ancillas appended at the least significant end.
 
-    A mixed item keeps an ensemble: each of its rows becomes row x |0...0>,
-    and its noise, white on the data qubits only, becomes d rows
-    e_j x |0...0> of weight noise/d each (dropped at or below ENSEMBLE_FLOOR),
-    with no noise left. The e_j rows are the same bytes in every item, so the
-    training engine evolves them once per train set.
+    One formula over item.ensemble(): each row r becomes r x |0...0>, and the
+    noise, white on the data qubits only, becomes d rows e_j x |0...0> of
+    weight noise/d each (dropped at or below ENSEMBLE_FLOOR), with no noise
+    left. The e_j rows are the same bytes in every item, so the training
+    engine evolves them once per train set. A pure item is one row of weight
+    1 with no noise, so it stays pure.
     """
-    arr = naimark_embed(item, ma)
-    if arr.ndim == 1:
-        return LabeledState(label=item.label, psi=arr)
     ens = item.ensemble()
     d = item.dim
     rows, weights = ens.rows, ens.weights
@@ -298,8 +296,10 @@ def _embed_item(item: LabeledState, ma: int) -> LabeledState:
         weights = np.concatenate([weights, np.full(d, ens.noise / d)])
     embedded = np.zeros((len(rows), d, 2**ma), dtype=complex)
     embedded[:, :, 0] = rows
-    ens = Ensemble(weights, embedded.reshape(len(rows), -1), 0.0)
-    return LabeledState(label=item.label, rho=arr, ens=ens)
+    embedded = embedded.reshape(len(rows), -1)
+    if item.is_pure:
+        return LabeledState(label=item.label, psi=embedded[0])
+    return LabeledState(label=item.label, ens=Ensemble(weights, embedded, 0.0))
 
 
 def _parse_m(text: str) -> tuple[int, ...]:

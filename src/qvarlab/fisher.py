@@ -46,9 +46,9 @@ class StateFamily:
     Pure states are memoized per alpha on the family object, so a grid point
     that training, the bound-chain stencil (alpha, alpha +- PROB_STEP) and
     the CSV rows all visit costs one evaluation (one ground-state solve for
-    the spin-chain families). Density states are not kept: at d x d each, a
-    run's grid would hold hundreds of MB at n=8, while the mixture's closed
-    form is cheap to redo.
+    the spin-chain families). Mixed states are not kept: bound_chain leaves
+    each one's d x d LabeledState.density() on it, so a kept grid would hold
+    hundreds of MB at n=8, while the mixture's closed form is cheap to redo.
     """
 
     evaluator: Callable[[float], LabeledState]
@@ -204,7 +204,7 @@ def _family_qfi(stencil: Sequence[LabeledState]) -> float:
     states, the forward one rotated so that <psi_-|psi_+> is real positive."""
     lo, mid, hi = stencil
     if not mid.is_pure:
-        return qfi_spectral(mid.rho, _slope(lambda st: st.rho, stencil))
+        return qfi_spectral(mid.density(), _slope(LabeledState.density, stencil))
     sm = lo.psi / np.linalg.norm(lo.psi)
     sp = hi.psi / np.linalg.norm(hi.psi)
     overlap = np.vdot(sm, sp)

@@ -115,19 +115,17 @@ def ising(n: int, h: float) -> np.ndarray:
     return pauli_sum(terms)
 
 
-def schwinger(
-    n: int, mu: float, w: float = 1.0, g: float = 1.0, eps0: float = 0.0
-) -> np.ndarray:
+def schwinger(n: int, mu: float, w: float = 1.0, g: float = 1.0) -> np.ndarray:
     """Lattice gauge chain with open hopping terms and a staggered mass.
 
     H = w sum_{j<n} (X_j X_{j+1} + Y_j Y_{j+1})
         + (mu/2) sum_j (-1)^j Z_j
-        + g sum_j (eps0 - (1/2) sum_{l<=j} (Z_l + (-1)^j I)).
+        - (g/2) sum_j sum_{l<=j} (Z_l + (-1)^j I).
 
     The field term is expanded as written above, including the staggered
     identity shift inside the nested sum (it only moves the spectrum's
     offset): qubit l collects -(g/2)(n - l + 1) Z_l and the identity
-    g n (eps0 - 1/4), since sum_j j (-1)^j = n/2 for even n. The third term is
+    -g n/4, since sum_j j (-1)^j = n/2 for even n. The third term is
     therefore a linearly varying longitudinal field, so the ground family
     changes smoothly across mu without a sharp critical feature.
     """
@@ -140,7 +138,7 @@ def schwinger(
     for j in range(1, n + 1):
         z = (mu / 2.0) * (-1) ** j - 0.5 * g * (n - j + 1)
         terms.append(PauliString(n, {j: "Z"}, coeff=z))
-    terms.append(PauliString(n, {}, coeff=g * n * (eps0 - 0.25)))
+    terms.append(PauliString(n, {}, coeff=g * n * -0.25))
     return pauli_sum(terms)
 
 

@@ -77,9 +77,7 @@ class MixtureModel:
 
     def family(self) -> StateFamily:
         return StateFamily(
-            evaluator=lambda a: LabeledState(
-                label=float(a), rho=self.rho(a), ens=self.ensemble(a)
-            ),
+            evaluator=lambda a: LabeledState(label=float(a), ens=self.ensemble(a)),
             alpha_range=(0.0, 1.0),
         )
 

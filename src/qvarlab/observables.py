@@ -11,8 +11,9 @@ so every projector has rank 2**(n-m). Probabilities, expectation values and
 variances are computed by evolving the state's weighted pure rows and
 marginalizing the outcome bits, which agrees with the dense projector route
 but stays cheap. A LabeledState brings its own rows (LabeledState.ensemble:
-the mixture family's closed form, two rows); a bare vector or density matrix
-is decomposed by states.white_noise_ensemble, one eigendecomposition of a
+a pure state's one row, or a mixed state's ensemble, such as the mixture
+family's closed form with two rows); a bare vector or density matrix is
+decomposed by states.white_noise_ensemble, one eigendecomposition of a
 density matrix per call.
 """
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .circuits import Circuit, apply_circuit, unitary
 from .states import LabeledState, white_noise_ensemble
 
@@ -68,7 +68,7 @@ class SpectralObservable:
 
 def _coerce_state(state) -> np.ndarray:
     if isinstance(state, LabeledState):
-        return state.psi if state.is_pure else state.rho
+        return state.psi if state.is_pure else state.density()
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise ValueError(f"state must be a vector or density matrix, got {arr.ndim}d")
@@ -132,13 +132,3 @@ def matrix(obs: ParamObservable, theta: np.ndarray) -> SpectralObservable:
         projectors[i] = rows.conj().T @ rows
     return SpectralObservable(lambdas=obs.lambdas.copy(), projectors=projectors)
 
-
-def naimark_embed(state, n_ancilla: int):
-    """Append n_ancilla fresh |0> qubits at the least significant end."""
-    if n_ancilla < 1:
-        raise ValueError("need at least one ancilla")
-    arr = _coerce_state(state)
-    # |0...0> as a vector or as a density matrix, matching the state
-    anc = np.zeros((2**n_ancilla,) * arr.ndim, dtype=complex)
-    anc[(0,) * arr.ndim] = 1.0
-    return linalg.kron(arr, anc)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -13,7 +14,6 @@ GAP_TOL = 1e-10
 EIGENVALUE_CLIP = -1e-10
 NORM_TOL = 1e-10
 ENSEMBLE_FLOOR = 1e-13
-ENSEMBLE_TOL = 1e-10
 
 
 class DegenerateGroundSpaceWarning(UserWarning):
@@ -24,43 +24,43 @@ class DegenerateGroundSpaceWarning(UserWarning):
 class LabeledState:
     """A quantum state tagged with the real label it encodes.
 
-    Exactly one of psi (unit vector) or rho (density matrix) is set. A rho
-    may come with its ensemble (weighted pure rows plus white noise) when
-    the caller knows it in closed form; it is checked against rho to
-    ENSEMBLE_TOL at construction.
+    Exactly one of psi (unit vector) or ens (weighted unit rows plus white
+    noise) is set: a mixed state is its ensemble. The ensemble is checked at
+    construction: one unit row per weight, weights >= 0, noise no lower than
+    d * EIGENVALUE_CLIP (the rounding white_noise_ensemble lets through), and
+    sum(weights) + noise = 1.
     """
 
     label: float
     psi: np.ndarray | None = None
-    rho: np.ndarray | None = None
     ens: Ensemble | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.psi is None) == (self.rho is None):
-            raise ValueError("exactly one of psi or rho must be given")
+        if (self.psi is None) == (self.ens is None):
+            raise ValueError("exactly one of psi or ens must be given")
         if self.psi is not None:
             psi = np.asarray(self.psi, dtype=complex)
             if psi.ndim != 1:
                 raise ValueError(f"psi must be a vector, got shape {psi.shape}")
             nrm = np.linalg.norm(psi)
-            if abs(nrm - 1.0) > NORM_TOL:
+            # each check is written as "not <=" so that a NaN fails it too
+            if not abs(nrm - 1.0) <= NORM_TOL:
                 raise ValueError(f"psi must be normalized (norm {nrm:.12f})")
             object.__setattr__(self, "psi", psi)
-        else:
-            rho = linalg.require_hermitian(self.rho, tol=1e-10)
-            tr = np.trace(rho).real
-            if abs(tr - 1.0) > 1e-8:
-                raise ValueError(f"rho must have unit trace (got {tr:.12f})")
-            object.__setattr__(self, "rho", rho)
-        if self.ens is not None:
-            if self.rho is None:
-                raise ValueError("an ensemble may only accompany rho")
-            shape = np.shape(self.ens.rows)
-            if shape != (len(self.ens.weights), self.dim):
-                raise ValueError(f"ensemble rows have shape {shape} for dimension {self.dim}")
-            defect = np.max(np.abs(_ensemble_density(self.ens) - self.rho))
-            if defect > ENSEMBLE_TOL:
-                raise ValueError(f"ensemble misses rho by {defect:.3e}")
+            return
+        # asarray keeps the caller's arrays, so states built from one array share it
+        w = np.asarray(self.ens.weights, dtype=float)
+        rows = np.asarray(self.ens.rows, dtype=complex)
+        noise = float(self.ens.noise)
+        if rows.ndim != 2 or w.shape != (len(rows),):
+            raise ValueError(f"ensemble has weights of shape {w.shape} for rows {rows.shape}")
+        if np.any(w < 0.0) or noise < rows.shape[1] * EIGENVALUE_CLIP:
+            raise ValueError(f"ensemble weights and noise must be nonnegative (noise {noise:.3e})")
+        if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= NORM_TOL):
+            raise ValueError("ensemble rows must be normalized")
+        if not abs(w.sum() + noise - 1.0) <= 1e-8:
+            raise ValueError(f"ensemble weights and noise must sum to 1 ({w.sum() + noise:.12f})")
+        object.__setattr__(self, "ens", Ensemble(w, rows, noise))
 
     @property
     def is_pure(self) -> bool:
@@ -68,23 +68,31 @@ class LabeledState:
 
     @property
     def dim(self) -> int:
-        return len(self.psi) if self.psi is not None else self.rho.shape[0]
+        return len(self.psi) if self.psi is not None else self.ens.rows.shape[1]
 
     def density(self) -> np.ndarray:
+        """The d x d matrix, for the dense routines only (bound_chain's
+        projector stack and mixed-state QFI, fidelity). A mixed state's is
+        summed from its ensemble once and kept, read-only, on the object."""
         if self.psi is not None:
             return np.outer(self.psi, self.psi.conj())
-        return self.rho
+        return self._density
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        """sum_k w_k |r_k><r_k| + noise * I/d."""
+        w, rows, noise = self.ens
+        rho = (rows.T * w) @ rows.conj()
+        rho[np.diag_indices(self.dim)] += noise / self.dim
+        rho.flags.writeable = False
+        return rho
 
     def ensemble(self) -> Ensemble:
-        """This state as weighted pure rows plus white noise.
-
-        The ensemble given at construction if there is one (the mixture
-        family's closed form, whose rows every item of a train set shares
-        byte for byte), else white_noise_ensemble of psi or rho.
-        """
+        """This state as weighted pure rows plus white noise: a pure state's
+        one row of weight 1, or a mixed state's own ensemble."""
         if self.ens is not None:
             return self.ens
-        return white_noise_ensemble(self.psi if self.is_pure else self.rho)
+        return white_noise_ensemble(self.psi)
 
 
 class Ensemble(NamedTuple):
@@ -95,15 +103,6 @@ class Ensemble(NamedTuple):
     noise: float
 
 
-def _ensemble_density(ens: Ensemble) -> np.ndarray:
-    """The d x d matrix sum_k w_k |r_k><r_k| + noise * I/d."""
-    rows = np.asarray(ens.rows, dtype=complex)
-    dim = rows.shape[1]
-    rho = (rows.T * ens.weights) @ rows.conj()
-    rho[np.diag_indices(dim)] += ens.noise / dim
-    return rho
-
-
 def white_noise_ensemble(state) -> Ensemble:
     """Weighted pure rows plus a white-noise weight that sum to the state.
 
@@ -112,13 +111,17 @@ def white_noise_ensemble(state) -> Ensemble:
     rho = sum_k (lambda_k - lambda_min) |v_k><v_k| + d lambda_min I/d exactly,
     and rows of weight at or below ENSEMBLE_FLOOR are dropped. Since
     U (I/d) U^dag = I/d, only the rows need evolving: a rank-r state mixed
-    with white noise costs r rows, and I/d itself costs none.
+    with white noise costs r rows, and I/d itself costs none. A lambda_min
+    below EIGENVALUE_CLIP (the rule fidelity uses) raises: the matrix is no
+    state, and its noise weight would be negative.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         return Ensemble(np.ones(1), arr[None, :], 0.0)
     es = linalg.herm_eig(arr, tol=1e-10)
     floor = es.values[0]
+    if floor < EIGENVALUE_CLIP:
+        raise ValueError(f"negative eigenvalue beyond tolerance: {floor:.3e}")
     weights = es.values - floor
     keep = weights > ENSEMBLE_FLOOR
     return Ensemble(weights[keep], es.vectors[:, keep].T, float(len(weights) * floor))

@@ -63,9 +63,9 @@ class TrainSet:
     def ensembles(self) -> tuple[Ensemble, ...]:
         """Every item as weighted pure rows plus white noise, computed once per set.
 
-        Each is the item's LabeledState.ensemble: a pure item's one row, a
-        MixtureModel item's closed form (rows shared by every item of the
-        set), else one eigendecomposition of rho.
+        Each is the item's LabeledState.ensemble: a pure item's one row, or
+        a mixed item's own ensemble (a MixtureModel item's closed form, whose
+        rows every item of the set shares).
         """
         return tuple(it.ensemble() for it in self.items)
 
@@ -336,9 +336,12 @@ def _quasi_newton(f, g, x0, config, max_iters=None):
             hmat = np.eye(dim) * (sy / float(y @ y))
             first_update = False
         if sy > CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
+            # the rank-two form of (I - rho s y^T) H (I - rho y s^T) + rho s s^T;
+            # unlike v @ hmat @ v.T, it rounds alike at 1 and 2 BLAS threads
             rho = 1.0 / sy
-            v = np.eye(dim) - rho * np.outer(s, y)
-            hmat = v @ hmat @ v.T + rho * np.outer(s, s)
+            hy = hmat @ y
+            hmat = (hmat - rho * (np.outer(s, hy) + np.outer(hy, s))
+                    + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
         x, fx, gx = xn, fn, gn
         history.append(fx)
         converged = np.max(np.abs(gx)) < CONV_TOL

@@ -12,7 +12,7 @@ from qvarlab import cli
 from qvarlab.cli import CSV_HEADER, ConfigError, ExperimentConfig, main, run
 from qvarlab.circuits import apply_circuit, hea
 from qvarlab.mixture import qfi_commuting, variance_full, variance_partial
-from qvarlab.observables import ensemble_outcomes, naimark_embed
+from qvarlab.observables import ensemble_outcomes
 from qvarlab.states import white_noise_ensemble
 from qvarlab.training import TrainSet, _Engine
 
@@ -123,6 +123,7 @@ def test_exit_code_one_on_config_errors(tmp_path):
     assert main(["analytic", "--train-points", "1", "--out", out]) == 1
     assert main(["analytic", "--n", "2", "--m", "1,1", "--out", out]) == 1
     assert main(["analytic", "--n", "2", "--naimark", "1", "--m", "7", "--out", out]) == 1
+    assert main(["mixture", "--n", "2", "--naimark", "-1", "--out", out]) == 1
     assert main(["mixture", "--n", "2", "--m", "1", "--seed", "-1", "--out", out]) == 1
     assert main(["mixture", "--n", "2", "--m", "1", "--out", str(tmp_path / "no" / "x")]) == 1
     # ansatz builders' own n rules, checked before the train set is built
@@ -233,13 +234,38 @@ def test_naimark_run_writes_single_file(tmp_path):
     assert rows[1]["inv_cfi"] is not None
 
 
+def _ancilla_zero(ma):
+    anc = np.zeros((2**ma, 2**ma), dtype=complex)
+    anc[0, 0] = 1.0
+    return anc
+
+
+@pytest.mark.parametrize("ma", [1, 2])
+@pytest.mark.parametrize("experiment", ["ising", "mixture"])
+def test_embed_item_appends_ancillas_in_zero(experiment, ma):
+    # one formula for pure and mixed items: rho x |0...0><0...0|, with the
+    # ancillas at the least significant end
+    fam = cli.FAMILY_BUILDERS[experiment](ExperimentConfig(experiment, n=2))
+    item = fam.state(0.4)
+    big = cli._embed_item(item, ma)
+    assert big.label == item.label and big.dim == 4 * 2**ma
+    assert big.is_pure == item.is_pure
+    want = np.kron(item.density(), _ancilla_zero(ma))
+    assert np.abs(big.density() - want).max() < 1e-15
+    if big.is_pure:
+        # measuring the ancillas gives outcome 0 with certainty
+        p = ensemble_outcomes(big.psi[None, :], np.ones(1), 0.0, ma)
+        assert np.allclose(p, np.eye(2**ma)[0], rtol=0, atol=1e-15)
+
+
 def test_naimark_mixture_items_share_their_noise_rows():
     # the embedded noise is d rows e_j x |0>, the same bytes in every item,
     # so the engine evolves 2 signal rows plus d noise rows for the whole set
     fam = cli.FAMILY_BUILDERS["mixture"](ExperimentConfig("mixture", n=2))
     ts = TrainSet(items=tuple(cli._embed_item(fam.state(a), 1) for a in (0.0, 0.4, 0.7, 1.0)))
     for it in ts.items:
-        assert np.array_equal(it.rho, naimark_embed(fam.state(it.label).rho, 1))
+        want = np.kron(fam.state(it.label).density(), _ancilla_zero(1))
+        assert np.abs(it.density() - want).max() < 1e-15
         assert it.ensemble().noise == 0.0
     circuit = hea(3, 2)
     engine = _Engine(circuit, 1, ts)
@@ -247,7 +273,7 @@ def test_naimark_mixture_items_share_their_noise_rows():
     theta = np.random.default_rng(3).uniform(0, 2 * np.pi, circuit.param_count)
     want = []
     for it in ts.items:
-        ens = white_noise_ensemble(it.rho)
+        ens = white_noise_ensemble(it.density())
         rows = apply_circuit(circuit, theta, ens.rows)
         want.append(ensemble_outcomes(rows, ens.weights, ens.noise, 1))
     assert np.max(np.abs(engine.probs(theta) - np.array(want))) < 1e-12
@@ -265,6 +291,34 @@ def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
     assert first
     for path in first:
         assert path.read_bytes() == (tmp_path / path.name.replace("a_", "b_", 1)).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ising", "--n", "8", "--m", "1,2", "--restarts", "1", "--max-iters", "3",
+     "--eval-points", "9", "--seed", "5"],
+    ["mixture", "--n", "4", "--m", "1,3", "--restarts", "1", "--max-iters", "10",
+     "--eval-points", "9", "--seed", "5"],
+], ids=["ising", "mixture"])
+def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # the thread count is set in the child's environment only, before numpy
+    # loads its BLAS
+    src = str(Path(qvarlab.__file__).resolve().parents[1])
+    csvs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"t{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvarlab.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs[threads] = {
+            p.name[len(out.name):]: p.read_bytes() for p in tmp_path.glob(f"{out.name}_m*.csv")
+        }
+    assert len(csvs["1"]) == 2 and csvs["1"] == csvs["2"]
 
 
 def test_sidecar_replay_keeps_an_out_path_holding_a_hash(tmp_path):

@@ -21,7 +21,7 @@ from qvarlab.hamiltonians import ising
 from qvarlab.linalg import herm_eig
 from qvarlab.mixture import MixtureModel, optimal_observable_matrix
 from qvarlab.observables import ParamObservable, matrix
-from qvarlab.states import LabeledState, ground_state
+from qvarlab.states import LabeledState, ground_state, white_noise_ensemble
 
 Z_PROJ = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
 
@@ -38,7 +38,7 @@ def _bloch_family(global_phase=False):
 
 def _diag_family(g):
     def ev(a):
-        return LabeledState(a, rho=np.diag([1.0 - g(a), g(a)]).astype(complex))
+        return LabeledState(a, ens=white_noise_ensemble(np.diag([1.0 - g(a), g(a)])))
 
     return StateFamily(ev, (-1.0, 2.0))
 
@@ -240,7 +240,7 @@ def test_bound_chain_and_cfi_read_one_three_state_stencil(pure):
         calls.append(a)
         if pure:
             return LabeledState(a, psi=np.array([np.cos(a), np.sin(a)], dtype=complex))
-        return LabeledState(a, rho=np.diag([1.0 - 0.5 * a, 0.5 * a]).astype(complex))
+        return LabeledState(a, ens=white_noise_ensemble(np.diag([1.0 - 0.5 * a, 0.5 * a])))
 
     alpha, h = 0.3, fisher.PROB_STEP
     obs = ParamObservable(qc.make_circuit(1, [], 0), 1, np.array([0.0, 1.0]))

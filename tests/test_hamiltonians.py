@@ -75,13 +75,6 @@ def test_schwinger_validation_and_gap():
     assert w[1] - w[0] > 1e-3  # smooth ground family across the mu window
 
 
-def test_schwinger_eps0_shifts_spectrum_only():
-    base = np.linalg.eigvalsh(ham.schwinger(4, 0.2, eps0=0.0))
-    shifted = np.linalg.eigvalsh(ham.schwinger(4, 0.2, eps0=1.5))
-    # each of the n sites contributes g*eps0 to the diagonal
-    assert np.allclose(shifted - base, 4 * 1.5, atol=1e-10)
-
-
 def test_cluster_limits():
     # x=1: pure transverse field plus the small pinning term
     h1 = ham.cluster(4, 1.0, eps=0.0)
@@ -115,7 +108,7 @@ def test_pauli_sum_bitwise_matches_dense_reference():
         assert np.array_equal(ham.pauli_sum(strings), want)
 
 
-def _schwinger_nested_reference(n, mu, w, g, eps0):
+def _schwinger_nested_reference(n, mu, w, g):
     # the docstring's formula term by term, with dense Pauli matrices
     d = 2**n
     out = np.zeros((d, d), dtype=complex)
@@ -126,7 +119,7 @@ def _schwinger_nested_reference(n, mu, w, g, eps0):
         out += (mu / 2.0) * (-1) ** j * ham.pauli_matrix(ham.PauliString(n, {j: "Z"}))
     eye = np.eye(d, dtype=complex)
     for j in range(1, n + 1):
-        field = eps0 * eye
+        field = np.zeros((d, d), dtype=complex)
         for l in range(1, j + 1):
             field -= 0.5 * (ham.pauli_matrix(ham.PauliString(n, {l: "Z"})) + (-1) ** j * eye)
         out += g * field
@@ -135,6 +128,6 @@ def _schwinger_nested_reference(n, mu, w, g, eps0):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_schwinger_matches_nested_field_formula(n):
-    for mu, w, g, eps0 in ((-2.2, 1.0, 1.0, 0.0), (0.43, 1.2, 0.8, 0.0), (1.2, 0.7, 1.3, 1.5)):
-        got = ham.schwinger(n, mu, w=w, g=g, eps0=eps0)
-        assert np.abs(got - _schwinger_nested_reference(n, mu, w, g, eps0)).max() < 1e-12
+    for mu, w, g in ((-2.2, 1.0, 1.0), (0.43, 1.2, 0.8), (1.2, 0.7, 1.3)):
+        got = ham.schwinger(n, mu, w=w, g=g)
+        assert np.abs(got - _schwinger_nested_reference(n, mu, w, g)).max() < 1e-12

@@ -43,7 +43,7 @@ def test_rho_endpoints_and_family():
     fam = m.family()
     st = fam.state(0.4)
     assert st.label == 0.4
-    assert np.allclose(st.rho, m.rho(0.4), atol=1e-15)
+    assert np.allclose(st.density(), m.rho(0.4), atol=1e-15)
     with pytest.raises(ValueError):
         fam.state(1.5)
 

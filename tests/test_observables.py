@@ -7,11 +7,10 @@ from qvarlab.observables import (
     ParamObservable,
     expectation,
     matrix,
-    naimark_embed,
     probabilities,
     variance,
 )
-from qvarlab.states import LabeledState, ghz
+from qvarlab.states import LabeledState, ghz, white_noise_ensemble
 
 
 def _identity_obs(n, m, lambdas=None):
@@ -77,8 +76,14 @@ def test_labeled_state_inputs():
     tagged = probabilities(obs, np.array([]), LabeledState(0.3, psi=psi))
     assert np.array_equal(direct, tagged)
     rho = np.outer(psi, psi.conj())
-    tagged_rho = probabilities(obs, np.array([]), LabeledState(0.3, rho=rho))
+    tagged_rho = probabilities(obs, np.array([]), LabeledState(0.3, ens=white_noise_ensemble(rho)))
     assert np.allclose(direct, tagged_rho, atol=1e-14)
+
+
+def test_non_psd_matrix_is_rejected_not_clamped():
+    # eigenvalue -0.2: the outcome probabilities would be 1.2 and -0.2
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        probabilities(_identity_obs(1, 1), np.array([]), np.diag([1.2, -0.2]))
 
 
 def test_coerce_rejects_higher_rank():
@@ -127,32 +132,6 @@ def test_probabilities_agree_with_projector_route():
     spec = matrix(obs, theta)
     want = np.einsum("kij,i,j->k", spec.projectors, psi.conj(), psi).real
     assert np.allclose(probabilities(obs, theta, psi), want, atol=1e-12)
-
-
-def test_naimark_embed_vector():
-    psi = ghz(2)
-    big = naimark_embed(psi, 2)
-    assert big.shape == (16,)
-    assert abs(np.linalg.norm(big) - 1.0) < 1e-14
-    # ancillas sit at the least significant end in |0>, so measuring the
-    # last two qubits of the embedding gives outcome 0 with certainty
-    p = probabilities(_identity_obs(4, 2), np.array([]), big)
-    assert np.allclose(p, [1.0, 0, 0, 0], atol=1e-15)
-
-
-def test_naimark_embed_density():
-    psi = ghz(2)
-    rho = np.outer(psi, psi.conj())
-    big = naimark_embed(rho, 1)
-    assert big.shape == (8, 8)
-    anc = np.zeros((2, 2), dtype=complex)
-    anc[0, 0] = 1.0
-    assert np.allclose(big, np.kron(rho, anc), atol=1e-15)
-
-
-def test_naimark_embed_rejects_zero_ancillas():
-    with pytest.raises(ValueError):
-        naimark_embed(ghz(2), 0)
 
 
 def test_clamp_constant_exported():

@@ -50,36 +50,87 @@ def test_labeled_state_validation():
     st = states.LabeledState(label=0.3, psi=psi)
     assert st.is_pure and st.dim == 2
     assert np.allclose(st.density(), np.diag([1.0, 0.0]))
+    assert len(st.ensemble().rows) == 1 and st.ensemble().noise == 0.0
     with pytest.raises(ValueError):
         states.LabeledState(label=0.1, psi=2 * psi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normalized"):
+        states.LabeledState(label=0.1, psi=np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="exactly one"):
         states.LabeledState(label=0.1)
-    with pytest.raises(ValueError):
-        states.LabeledState(label=0.1, psi=psi, rho=np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        states.LabeledState(label=0.1, rho=np.diag([0.7, 0.7]))
+    with pytest.raises(ValueError, match="exactly one"):
+        states.LabeledState(
+            label=0.1, psi=psi, ens=states.Ensemble(np.ones(1), psi[None, :], 0.0)
+        )
+    with pytest.raises(TypeError):
+        states.LabeledState(label=0.1, rho=np.diag([1.0, 0.0]))
 
 
-def test_labeled_state_ensemble_is_checked_against_rho():
+def test_labeled_state_ensemble_is_validated():
     v = np.eye(4, dtype=complex)[[0, 3]]
-    rho = 0.5 * (0.75 * np.outer(v[0], v[0]) + 0.25 * np.outer(v[1], v[1])) + 0.5 * np.eye(4) / 4
     ens = states.Ensemble(np.array([0.375, 0.125]), v, 0.5)
-    st = states.LabeledState(label=0.5, rho=rho, ens=ens)
-    assert st.ensemble() is ens
-    off = states.Ensemble(np.array([0.375 + 2e-10, 0.125]), v, 0.5)
-    with pytest.raises(ValueError, match="misses rho"):
-        states.LabeledState(label=0.5, rho=rho, ens=off)
-    with pytest.raises(ValueError):
-        states.LabeledState(label=0.5, psi=v[0], ens=states.Ensemble(np.ones(1), v[:1], 0.0))
-    # rows of another width, even if they hold the right number of entries
-    wide = states.Ensemble(ens.weights[:1], v.reshape(1, 8), 0.5)
+    st = states.LabeledState(label=0.5, ens=ens)
+    assert not st.is_pure and st.dim == 4
+    # the rows are kept as given, so states built from one array share it
+    assert st.ensemble().rows is v
+    # weights and noise must sum to 1
+    with pytest.raises(ValueError, match="sum to 1"):
+        states.LabeledState(label=0.5, ens=states.Ensemble(np.array([0.375, 0.2]), v, 0.5))
+    with pytest.raises(ValueError, match="sum to 1"):
+        states.LabeledState(label=0.5, ens=states.Ensemble(ens.weights, v, np.nan))
+    # every row is a unit vector
+    with pytest.raises(ValueError, match="normalized"):
+        states.LabeledState(label=0.5, ens=states.Ensemble(ens.weights, 2 * v, 0.5))
+    # one row per weight, as a 2-d array
     with pytest.raises(ValueError, match="shape"):
-        states.LabeledState(label=0.5, rho=rho, ens=wide)
+        states.LabeledState(label=0.5, ens=states.Ensemble(np.ones(1) * 0.5, v, 0.5))
+    with pytest.raises(ValueError, match="shape"):
+        states.LabeledState(label=0.5, ens=states.Ensemble(np.ones(1), v[0], 0.0))
     # white noise alone: no rows at all
-    white = states.LabeledState(
-        label=0.0, rho=np.eye(4) / 4, ens=states.Ensemble(np.zeros(0), v[:0], 1.0)
-    )
+    white = states.LabeledState(label=0.0, ens=states.Ensemble(np.zeros(0), v[:0], 1.0))
     assert len(white.ensemble().rows) == 0
+    assert np.array_equal(white.density(), np.eye(4) / 4)
+
+
+def test_labeled_state_rejects_negative_weights():
+    v = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="nonnegative"):
+        states.LabeledState(label=0.5, ens=states.Ensemble(np.array([1.2, -0.2]), v, 0.0))
+
+
+def test_labeled_state_rejects_noise_below_rounding():
+    v = np.eye(2, dtype=complex)[:1]
+    # the floor is d * EIGENVALUE_CLIP, what white_noise_ensemble lets through
+    floor = 2 * states.EIGENVALUE_CLIP
+    states.LabeledState(label=0.5, ens=states.Ensemble(np.array([1.0 - floor]), v, floor))
+    with pytest.raises(ValueError, match="noise"):
+        states.LabeledState(label=0.5, ens=states.Ensemble(np.array([1.4]), v, -0.4))
+    with pytest.raises(ValueError, match="noise"):
+        states.LabeledState(
+            label=0.5, ens=states.Ensemble(np.array([1.0 - 2 * floor]), v, 2 * floor)
+        )
+
+
+def test_white_noise_ensemble_rejects_non_psd():
+    # a unit-trace Hermitian matrix with eigenvalue -0.2 is no state; its
+    # ensemble would carry noise -0.4
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        states.white_noise_ensemble(np.diag([1.2, -0.2]))
+    # rounding below zero, within EIGENVALUE_CLIP, is still a state
+    ens = states.white_noise_ensemble(np.diag([1.0 + 5e-11, -5e-11]))
+    assert ens.noise == pytest.approx(-1e-10, abs=1e-20)
+    states.LabeledState(label=0.0, ens=ens)
+
+
+def test_density_is_summed_once_per_mixed_state():
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    st = states.LabeledState(label=0.2, ens=states.white_noise_ensemble(rho))
+    assert "_density" not in vars(st)
+    dense = st.density()
+    assert st.density() is dense and not dense.flags.writeable
+    assert np.abs(dense - rho).max() < 1e-14
 
 
 def test_fidelity_known_values():

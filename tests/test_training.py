@@ -128,7 +128,7 @@ def _per_item_probs(circuit, theta, m, items):
     """Each item's outcome distribution from its own eigendecomposition of rho."""
     out = []
     for it in items:
-        ens = white_noise_ensemble(it.rho)
+        ens = white_noise_ensemble(it.density())
         rows = qc.apply_circuit(circuit, theta, ens.rows)
         out.append(ensemble_outcomes(rows, ens.weights, ens.noise, m))
     return np.array(out)
@@ -320,7 +320,8 @@ def test_pure_and_density_train_sets_agree_on_loss():
     )
     dens_ts = TrainSet(
         items=tuple(
-            LabeledState(0.3 * k, rho=np.outer(p, p.conj())) for k, p in enumerate(psis)
+            LabeledState(0.3 * k, ens=white_noise_ensemble(np.outer(p, p.conj())))
+            for k, p in enumerate(psis)
         )
     )
     a = loss(lam, theta, pure_ts, cfg, c, 1)
@@ -340,8 +341,10 @@ def test_pure_and_density_train_sets_agree_on_loss():
     )
     ts_d = TrainSet(
         items=(
-            LabeledState(0.0, rho=np.outer(psi2, psi2.conj())),
-            LabeledState(1.0, rho=np.outer(np.roll(psi2, 1), np.roll(psi2, 1).conj())),
+            LabeledState(0.0, ens=white_noise_ensemble(np.outer(psi2, psi2.conj()))),
+            LabeledState(
+                1.0, ens=white_noise_ensemble(np.outer(np.roll(psi2, 1), np.roll(psi2, 1).conj()))
+            ),
         )
     )
     assert abs(
@@ -360,10 +363,11 @@ def test_ensemble_route_matches_dense_trace():
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
+        dense = (rho, np.eye(d, dtype=complex) / d)
         ts = TrainSet(
-            items=(
-                LabeledState(0.2, rho=rho),
-                LabeledState(0.7, rho=np.eye(d, dtype=complex) / d),
+            items=tuple(
+                LabeledState(label, ens=white_noise_ensemble(r))
+                for label, r in zip((0.2, 0.7), dense)
             )
         )
         c = qc.hea(n, 1)
@@ -373,11 +377,11 @@ def test_ensemble_route_matches_dense_trace():
         spec = obs_mod.matrix(obs, theta)
         op = spec.operator()
         want = 0.0
-        for it in ts.items:
-            exact = np.einsum("kij,ji->k", spec.projectors, it.rho).real
+        for it, rho_it in zip(ts.items, dense):
+            exact = np.einsum("kij,ji->k", spec.projectors, rho_it).real
             assert np.allclose(obs_mod.probabilities(obs, theta, it), exact, rtol=0, atol=1e-10)
-            mean = np.trace(op @ it.rho).real
-            var = np.trace(op @ op @ it.rho).real - mean**2
+            mean = np.trace(op @ rho_it).real
+            var = np.trace(op @ op @ rho_it).real - mean**2
             want += (it.label - mean) ** 2 + 0.3 * var
         assert abs(loss(lam, theta, ts, cfg, c, 1) - want) < 1e-10
 
@@ -401,6 +405,8 @@ def test_train_deterministic_given_seed():
     c = qc.hea(2, 1)
     r1 = train(c, 1, ts, cfg)
     r2 = train(c, 1, ts, cfg)
+    # training evolves each item's ensemble rows; no item sums its d x d matrix
+    assert not any("_density" in vars(it) for it in ts.items)
     assert np.array_equal(r1.lambdas, r2.lambdas)
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.loss_history == r2.loss_history
@@ -422,6 +428,6 @@ def test_train_mixture_reaches_closed_form_variance():
         pred = obs_mod.expectation(obs, res.theta, it)
         sq_errs.append((pred - it.label) ** 2)
     assert max(sq_errs) < 1e-4
-    mid = LabeledState(0.5, rho=model.rho(0.5))
+    mid = LabeledState(0.5, ens=white_noise_ensemble(model.rho(0.5)))
     var_mid = obs_mod.variance(obs, res.theta, mid)
     assert abs(var_mid - variance_partial(0.5, 1)) < 0.05
