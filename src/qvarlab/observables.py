@@ -13,8 +13,9 @@ marginalizing the outcome bits, which agrees with the dense projector route
 but stays cheap. A LabeledState brings its own rows (LabeledState.ensemble:
 a pure state's one row, or a mixed state's ensemble, such as the mixture
 family's closed form with two rows); a bare vector or density matrix is
-decomposed by states.white_noise_ensemble, one eigendecomposition of a
-density matrix per call.
+first checked to be a state (states.check_state), then decomposed by
+states.white_noise_ensemble: a bare density matrix costs an eigvalsh and an
+eigendecomposition per call.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, apply_circuit, unitary
-from .states import LabeledState, white_noise_ensemble
+from .states import LabeledState, check_state, white_noise_ensemble
 
 PROB_CLAMP = 1e-14
 
@@ -67,12 +68,14 @@ class SpectralObservable:
 
 
 def _coerce_state(state) -> np.ndarray:
+    """A LabeledState's psi or density (valid by construction), or a bare
+    vector or density matrix once states.check_state accepts it."""
     if isinstance(state, LabeledState):
         return state.psi if state.is_pure else state.density()
     arr = np.asarray(state, dtype=complex)
     if arr.ndim not in (1, 2):
         raise ValueError(f"state must be a vector or density matrix, got {arr.ndim}d")
-    return arr
+    return check_state(arr)
 
 
 def ensemble_outcomes(rows: np.ndarray, weights: np.ndarray, noise, m: int) -> np.ndarray:
@@ -122,13 +125,18 @@ def variance(obs: ParamObservable, theta: np.ndarray, state) -> float:
 
 
 def matrix(obs: ParamObservable, theta: np.ndarray) -> SpectralObservable:
-    """Dense eigenvalue/projector form M = sum_i lambda_i U^dag P_i U."""
+    """Dense eigenvalue/projector form M = sum_i lambda_i U^dag P_i U.
+
+    Projector i is R^dag R, R the rows i, i + 2**m, ... of U (the outcome's
+    basis states); each product is written straight into the (2**m, d, d)
+    stack, with no d x d temporary per outcome.
+    """
     u = unitary(obs.circuit, theta)
     d = u.shape[0]
     step = 2**obs.m
     projectors = np.empty((step, d, d), dtype=complex)
     for i in range(step):
         rows = u[i::step]
-        projectors[i] = rows.conj().T @ rows
+        np.matmul(rows.conj().T, rows, out=projectors[i])
     return SpectralObservable(lambdas=obs.lambdas.copy(), projectors=projectors)
 

@@ -14,6 +14,7 @@ GAP_TOL = 1e-10
 EIGENVALUE_CLIP = -1e-10
 NORM_TOL = 1e-10
 ENSEMBLE_FLOOR = 1e-13
+TRACE_TOL = 1e-8
 
 
 class DegenerateGroundSpaceWarning(UserWarning):
@@ -58,7 +59,7 @@ class LabeledState:
             raise ValueError(f"ensemble weights and noise must be nonnegative (noise {noise:.3e})")
         if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= NORM_TOL):
             raise ValueError("ensemble rows must be normalized")
-        if not abs(w.sum() + noise - 1.0) <= 1e-8:
+        if not abs(w.sum() + noise - 1.0) <= TRACE_TOL:
             raise ValueError(f"ensemble weights and noise must sum to 1 ({w.sum() + noise:.12f})")
         object.__setattr__(self, "ens", Ensemble(w, rows, noise))
 
@@ -125,6 +126,26 @@ def white_noise_ensemble(state) -> Ensemble:
     weights = es.values - floor
     keep = weights > ENSEMBLE_FLOOR
     return Ensemble(weights[keep], es.vectors[:, keep].T, float(len(weights) * floor))
+
+
+def check_state(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is a state, else ValueError: a vector of unit norm to
+    NORM_TOL, or a matrix that is Hermitian to 1e-10 (white_noise_ensemble's
+    tolerance), of unit trace to TRACE_TOL, with no eigenvalue below
+    EIGENVALUE_CLIP."""
+    if arr.ndim == 1:
+        nrm = np.linalg.norm(arr)
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state vector must be normalized (norm {nrm:.12f})")
+        return arr
+    linalg.require_hermitian(arr, tol=1e-10)
+    tr = np.trace(arr).real
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace (got {tr:.12f})")
+    floor = np.linalg.eigvalsh(arr)[0]
+    if not floor >= EIGENVALUE_CLIP:
+        raise ValueError(f"negative eigenvalue beyond tolerance: {floor:.3e}")
+    return arr
 
 
 def ghz(n: int, sign: int = +1) -> np.ndarray:
@@ -205,6 +226,81 @@ def _check_gap(values: np.ndarray) -> None:
         )
 
 
+def _reflection(sector: np.ndarray, sign: float):
+    """The site reflection on a flip sector of width 2**(n-1), as (r, c), or
+    None when the width is no power of two or the sector does not commute
+    with it exactly.
+
+    Reversing the n bits of an index mirrors the chain and commutes with the
+    flip. On the sector's basis states (|s> + sign |d-1-s>)/sqrt(2), s < half,
+    it is a signed permutation: s goes to r = rev(s) with factor c = 1, or,
+    when rev(s) lies in the upper half, to d-1-rev(s) with factor c = sign.
+    """
+    half = len(sector)
+    n = half.bit_length()
+    if half != 1 << (n - 1):
+        return None
+    s = np.arange(half)
+    rev = np.zeros_like(s)
+    for bit in range(n):
+        rev |= ((s >> bit) & 1) << (n - 1 - bit)
+    upper = rev >= half
+    r, c = np.where(upper, 2 * half - 1 - rev, rev), np.where(upper, sign, 1.0)
+    return (r, c) if np.array_equal(sector[np.ix_(r, r)] * np.outer(c, c), sector) else None
+
+
+def _first_lowest(energies) -> int:
+    """Index of the first energy within GAP_TOL of the lowest: ties go to the
+    even flip sector, and within a sector to the even reflection block."""
+    low = min(energies)
+    return next(i for i, e in enumerate(energies) if e < low + GAP_TOL)
+
+
+def _blocks(sector: np.ndarray, sign: float) -> list:
+    """Solve one flip sector: per reflection block if it commutes with the
+    reflection exactly, else whole. Returns (EigenSystem, lift) per nonempty
+    block, reflection-even first; lift maps a unit block vector to its sector
+    vector divided by sqrt(2), the upper half of the state.
+
+    In the block of reflection parity q (+1 or -1), a fixed point f of the
+    reflection with factor q is the basis vector e_f, and a 2-cycle s < t = r(s)
+    is (e_s + q c_t e_t)/sqrt(2). The sector maps the block into itself, so
+    (sector v)[t] = q c_s (sector v)[s] and each block entry is gathered from
+    rows s and columns s and t of the sector; no basis change is multiplied.
+    """
+    mirror = _reflection(sector, sign)
+    if mirror is None:
+        return [(linalg.herm_eig(sector), lambda y: y / np.sqrt(2.0))]
+    r, c = mirror
+    s = np.arange(len(sector))
+    fixed, pair = r == s, s < r
+    out = []
+    for q in (1.0, -1.0):
+        keep = (fixed & (c == q)) | pair
+        if not keep.any():
+            continue
+        idx, t, paired = s[keep], r[keep], pair[keep]
+        # column coefficient q c_t on e_t, and the 1/sqrt(2) of a 2-cycle's
+        # column with the sqrt(2) of its row, which leave pair-pair entries bare
+        coef = np.where(paired, q * c[t], 0.0)
+        block = sector[np.ix_(idx, idx)] + sector[np.ix_(idx, t)] * coef
+        scale = np.where(paired, np.sqrt(2.0), 1.0)
+        block = block * scale[:, None] / scale
+        es = linalg.herm_eig(block)
+        # the lift folds in ground_state's 1/sqrt(2): a 2-cycle's entries are
+        # y/2, exact, and a fixed point's y/sqrt(2), one rounding as unsplit
+        divisor = np.where(paired, 2.0, np.sqrt(2.0))
+
+        def lift(y, idx=idx, t=t, coef=coef, divisor=divisor):
+            x = np.zeros(len(sector), dtype=y.dtype)
+            x[idx] = y / divisor
+            x[t] += coef * y / divisor
+            return x
+
+        out.append((es, lift))
+    return out
+
+
 def ground_state(h: np.ndarray) -> np.ndarray:
     """Lowest eigenvector of a Hermitian matrix, phase-fixed.
 
@@ -217,17 +313,23 @@ def ground_state(h: np.ndarray) -> np.ndarray:
     sector is the only check; the whole matrix is not checked. If the
     imaginary part of h is exactly zero (the Ising ring, the cluster chain at
     eps == 0), the sectors are split from h.real and solved as real symmetric
-    matrices. The lower sector's ground vector x is returned as
-    [x, +-x[::-1]]/sqrt(2), complex128 and phase-fixed. Sector energies
-    within GAP_TOL of each other select the even sector: the Ising ring at
-    even n, near-degenerate at small field, has an even ground state exactly,
+    matrices. A sector that commutes exactly with the site reflection (bit
+    reversal of the index, as for both of those) is solved per reflection
+    block (_blocks), each block checked by herm_eig on its own; any other
+    sector is solved whole. The lowest block's ground vector, lifted to its
+    sector's x, is returned as [x, +-x[::-1]]/sqrt(2), renormalized (which
+    leaves a norm error of about one ulp, not the eigensolver's few),
+    complex128 and phase-fixed. Energies within GAP_TOL of each other select the even flip
+    sector first, then the even reflection block: the Ising ring at even n,
+    near-degenerate at small field, has a flip-even ground state exactly,
     since conjugating by the product of Z makes it stoquastic. Any other
     matrix (for example the cluster chain at eps != 0 or the Schwinger chain)
     is eigensolved whole, in complex arithmetic.
 
     A DegenerateGroundSpaceWarning is emitted when the two lowest eigenvalues
-    of the matrix solved (the whole matrix or the chosen sector) are closer
-    than GAP_TOL; the lowest-index eigenvector is still returned.
+    of the matrix solved (the whole matrix, or the chosen flip sector over
+    all its blocks) are closer than GAP_TOL; the lowest-index eigenvector of
+    the chosen block is still returned.
     """
     h = linalg.as_matrix(h)
     d = len(h)
@@ -239,9 +341,12 @@ def ground_state(h: np.ndarray) -> np.ndarray:
         h = h.real
     a = h[: d // 2, : d // 2]
     bj = h[: d // 2, d // 2 :][:, ::-1]
-    even, odd = linalg.herm_eig(a + bj), linalg.herm_eig(a - bj)
-    sign, es = (1.0, even) if even.values[0] < odd.values[0] + GAP_TOL else (-1.0, odd)
-    _check_gap(es.values)
-    x = es.vectors[:, 0]
-    psi = np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0)
+    sectors = [_blocks(a + bj, 1.0), _blocks(a - bj, -1.0)]
+    pick = _first_lowest([min(es.values[0] for es, _ in blocks) for blocks in sectors])
+    sign, blocks = (1.0, -1.0)[pick], sectors[pick]
+    _check_gap(np.sort(np.concatenate([es.values[:2] for es, _ in blocks])))
+    es, lift = blocks[_first_lowest([es.values[0] for es, _ in blocks])]
+    x = lift(es.vectors[:, 0])
+    psi = np.concatenate([x, sign * x[::-1]])
+    psi /= np.linalg.norm(psi)
     return linalg._fix_phases(psi[:, None])[:, 0].astype(complex, copy=False)

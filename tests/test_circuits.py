@@ -129,6 +129,19 @@ def test_unordered_pair_targets():
     assert np.allclose(u21, swap @ u12 @ swap, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "circuit",
+    [qc.hea(10, 2), qc.qcnn(8), qc.hva_cluster(6, 2), qc.hea(1, 1)],
+    ids=["hea10", "qcnn8", "hva6", "hea1"],
+)
+def test_unitary_row_blocks_are_bitwise_one_batch(circuit):
+    # n=10 evolves the identity in 16 blocks of 64 rows, n <= 8 in one block
+    th = np.random.default_rng(circuit.n).uniform(0, 2 * np.pi, circuit.param_count)
+    d = 2**circuit.n
+    want = qc.apply_circuit(circuit, th, np.eye(d, dtype=complex)).T
+    assert qc.unitary(circuit, th).tobytes() == want.tobytes()
+
+
 def test_apply_circuit_matches_unitary():
     rng = np.random.default_rng(17)
     c = qc.hea(3, 2)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qvarlab
 from qvarlab import circuits as qc
+from qvarlab import fisher
 from qvarlab import observables as obs_mod
 from qvarlab.observables import (
     ParamObservable,
@@ -86,6 +93,24 @@ def test_non_psd_matrix_is_rejected_not_clamped():
         probabilities(_identity_obs(1, 1), np.array([]), np.diag([1.2, -0.2]))
 
 
+def test_bare_states_are_validated():
+    proj = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    # unit trace, but eigenvalue -0.2: once read as probabilities [1.2, -0.2]
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        fisher.outcome_probs(proj, np.diag([1.2, -0.2]))
+    with pytest.raises(ValueError, match="normalized"):
+        fisher.outcome_probs(proj, np.array([1.0, 0.1]))
+    with pytest.raises(ValueError, match="unit trace"):
+        fisher.outcome_probs(proj, np.diag([0.6, 0.6]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        fisher.outcome_probs(proj, np.array([[0.5, 0.1], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="normalized"):
+        probabilities(_identity_obs(1, 1), np.array([]), np.array([0.6, 0.6]))
+    psi = np.array([0.6, 0.8j])
+    assert np.allclose(fisher.outcome_probs(proj, psi), [0.36, 0.64], atol=1e-15)
+    assert np.allclose(fisher.outcome_probs(proj, np.outer(psi, psi.conj())), [0.36, 0.64])
+
+
 def test_coerce_rejects_higher_rank():
     with pytest.raises(ValueError):
         probabilities(_identity_obs(1, 1), np.array([]), np.zeros((2, 2, 2)))
@@ -120,6 +145,45 @@ def test_matrix_projectors_complete_and_orthogonal():
         assert abs(np.trace(pi).real - 2.0) < 1e-12  # rank 2**(n-m)
         for j in range(i + 1, 4):
             assert np.allclose(pi @ spec.projectors[j], 0.0, atol=1e-12)
+
+
+def test_matrix_writes_the_projectors_bitwise_as_the_product_formula():
+    rng = np.random.default_rng(41)
+    for c, m in ((qc.hea(5, 2), 2), (qc.qcnn(4), 1), (qc.hea(3, 1), 3)):
+        theta = rng.uniform(0, 2 * np.pi, c.param_count)
+        spec = matrix(ParamObservable(c, m, rng.normal(size=2**m)), theta)
+        u = qc.unitary(c, theta)
+        step = 2**m
+        want = np.stack([u[i::step].conj().T @ u[i::step] for i in range(step)])
+        assert spec.projectors.tobytes() == want.tobytes()
+
+
+_MATRIX_DIGEST = """
+import hashlib, sys
+import numpy as np
+from qvarlab import circuits, observables
+for circuit, m in ((circuits.qcnn(8), 1), (circuits.hea(10, 2), 3)):
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0, 2 * np.pi, circuit.param_count)
+    obs = observables.ParamObservable(circuit, m, rng.normal(size=2**m))
+    print(hashlib.sha256(observables.matrix(obs, theta).projectors.tobytes()).hexdigest())
+"""
+
+
+def test_matrix_does_not_depend_on_the_blas_thread_count():
+    # the thread count is set in the child's environment only, before numpy
+    # loads its BLAS; the readouts are the CLI's qcnn(8) m=1 and an n=10 hea m=3
+    src = str(Path(qvarlab.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MATRIX_DIGEST], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.split()
+    assert len(digests["1"]) == 2 and digests["1"] == digests["2"]
 
 
 def test_probabilities_agree_with_projector_route():

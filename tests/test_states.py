@@ -222,32 +222,88 @@ def _complex_sector_ground_state(ham):
     return np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0)
 
 
-def _record_eig_dtypes(monkeypatch):
+def _record_eig_inputs(monkeypatch):
     seen = []
     solve = linalg.herm_eig
 
     def recording(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype)
+        seen.append(np.asarray(a))
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "herm_eig", recording)
     return seen
 
 
+def _assert_equal_up_to_phase(psi, want):
+    phase = np.vdot(want, psi)
+    assert abs(abs(phase) - 1.0) < 1e-10
+    assert np.abs(psi - want * phase / abs(phase)).max() < 1e-10
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 10])
 def test_ising_real_sector_solve_matches_complex_sector_solve(n, monkeypatch):
-    seen = _record_eig_dtypes(monkeypatch)
+    seen = _record_eig_inputs(monkeypatch)
     for h in (0.05, 0.3, 1.0, 2.0):
         ham = hamiltonians.ising(n, h)
+        del seen[:]
         psi = states.ground_state(ham)
+        # every solve ground_state made (one per sector or reflection block) ran real
+        assert seen and all(a.dtype == np.float64 for a in seen)
         assert psi.dtype == np.complex128
-        want = _complex_sector_ground_state(ham)
-        phase = np.vdot(want, psi)
-        assert abs(abs(phase) - 1.0) < 1e-10
-        assert np.abs(psi - want * phase / abs(phase)).max() < 1e-10
-    # every sector solve of ground_state ran real; the oracle's ran complex
-    assert seen[0::4] == seen[1::4] == [np.float64] * 4
-    assert seen[2::4] == seen[3::4] == [np.complex128] * 4
+        _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham))
+
+
+def _flip_symmetric_hamiltonians():
+    for n, h in itertools.product(range(2, 11), (0.05, 0.3, 1.0, 2.0)):
+        yield hamiltonians.ising(n, h)
+    for n, x in itertools.product(range(3, 9), (0.0, 0.3, 0.7, 1.0, 1.2)):
+        yield hamiltonians.cluster(n, x, eps=0.0)
+
+
+def test_reflection_blocks_match_the_sector_solve(monkeypatch):
+    # the Ising ring and the cluster ring at eps=0 are mirror-symmetric, so each
+    # flip sector splits into two reflection blocks (one empty at n=2); n=2 and
+    # n=3 also meet sectors whose blocks have a single row
+    seen = _record_eig_inputs(monkeypatch)
+    for ham in _flip_symmetric_hamiltonians():
+        del seen[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
+            psi = states.ground_state(ham)
+        # the blocks tile both sectors, and at least one sector is split
+        assert sum(len(a) for a in seen) == len(ham) and len(seen) > 2
+        energy = np.vdot(psi, ham @ psi).real
+        assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
+        _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham.astype(complex)))
+
+
+def test_flip_symmetric_matrix_without_reflection_is_solved_per_sector(monkeypatch):
+    # X on qubit 1 alone keeps the flip symmetry but breaks the mirror
+    n = 6
+    terms = [hamiltonians.PauliString(n, {1: "X"}, coeff=0.4)]
+    for i in range(1, n + 1):
+        terms.append(hamiltonians.PauliString(n, {i: "Z", i % n + 1: "Z"}))
+        terms.append(hamiltonians.PauliString(n, {i: "X"}, coeff=0.7))
+    ham = hamiltonians.pauli_sum(terms)
+    assert np.array_equal(ham[::-1, ::-1], ham)
+    seen = _record_eig_inputs(monkeypatch)
+    psi = states.ground_state(ham)
+    assert [len(a) for a in seen] == [2 ** (n - 1)] * 2
+    _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham))
+
+
+def test_reflection_tie_goes_to_the_even_block():
+    # a diagonal flip- and mirror-symmetric matrix whose lowest energy sits in
+    # both reflection blocks of the even flip sector: the even block wins, and
+    # the tie is a degenerate ground space of that sector, so it warns
+    n = 3
+    energies = np.ones(2**n)
+    for s in (1, 4, 6, 3):  # 001 <-> 100, and their flips 110 <-> 011
+        energies[s] = 0.0
+    with pytest.warns(states.DegenerateGroundSpaceWarning):
+        psi = states.ground_state(np.diag(energies).astype(complex))
+    # even under the flip and under the mirror (bit reversal: 1 <-> 4, 3 <-> 6)
+    assert np.allclose(psi, psi[::-1]) and np.allclose(psi[[1, 3, 4, 6]], 0.5)
 
 
 def test_flip_symmetric_non_hermitian_matrix_raises():
@@ -258,6 +314,14 @@ def test_flip_symmetric_non_hermitian_matrix_raises():
         bad[0, 1] += bump  # in A, and mirrored so the flip symmetry stays
         bad[d - 1, d - 2] += bump
         assert np.array_equal(bad[::-1, ::-1], bad)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            states.ground_state(bad)
+        # bumped at the mirror images too (bit reversal: 1 <-> 8, 14 <-> 7), so
+        # the sectors split into reflection blocks and a block check must catch it
+        bad[0, 8] += bump
+        bad[d - 1, d - 1 - 8] += bump
+        rev = [int(f"{s:04b}"[::-1], 2) for s in range(d)]
+        assert np.array_equal(bad[np.ix_(rev, rev)], bad)
         with pytest.raises(ValueError, match="not Hermitian"):
             states.ground_state(bad)
 
@@ -271,8 +335,8 @@ def test_flip_symmetric_complex_hamiltonian_stays_complex(monkeypatch):
         terms.append(hamiltonians.PauliString(n, {i: "X"}, coeff=0.7))
     ham = hamiltonians.pauli_sum(terms)
     assert ham.imag.any() and np.array_equal(ham[::-1, ::-1], ham)
-    seen = _record_eig_dtypes(monkeypatch)
+    seen = _record_eig_inputs(monkeypatch)
     psi = states.ground_state(ham)
-    assert seen == [np.complex128, np.complex128]
+    assert [a.dtype for a in seen] == [np.complex128, np.complex128]
     energy = np.vdot(psi, ham @ psi).real
     assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
