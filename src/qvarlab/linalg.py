@@ -8,8 +8,9 @@ positive). herm_eig, hermitianize and hermiticity_defect keep the arithmetic
 of their input: a real matrix is handled in float64 and any other in
 complex128, so a real symmetric matrix is eigensolved as one. Within a
 degenerate eigenspace herm_eig returns whatever basis the solver gives;
-states.ground_state resolves the one degeneracy the spin-chain families meet,
-between the two spin-flip parity sectors, by solving each sector on its own.
+states.ground_state resolves the degeneracies the spin-chain families meet,
+between spin-flip parities and ring momenta, by solving each symmetry block
+on its own.
 """
 from __future__ import annotations
 

@@ -298,7 +298,9 @@ def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
      "--eval-points", "9", "--seed", "5"],
     ["mixture", "--n", "4", "--m", "1,3", "--restarts", "1", "--max-iters", "10",
      "--eval-points", "9", "--seed", "5"],
-], ids=["ising", "mixture"])
+    ["ising", "--n", "10", "--m", "1,3", "--layers", "1", "--restarts", "1", "--max-iters", "2",
+     "--train-points", "3", "--eval-points", "5", "--seed", "6"],
+], ids=["ising", "mixture", "ising10"])
 def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # the thread count is set in the child's environment only, before numpy
     # loads its BLAS

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,48 @@ def _assert_equal_up_to_phase(psi, want):
     assert np.abs(psi - want * phase / abs(phase)).max() < 1e-10
 
 
+def _oracle_hamiltonians():
+    # flip and translation: the Ising ring and the cluster ring at eps=0
+    for n, h in itertools.product(range(2, 11), (0.05, 0.3, 1.0, 2.0)):
+        yield hamiltonians.ising(n, h)
+    for n, x in itertools.product(range(3, 9), (0.0, 0.3, 0.7, 1.0, 1.2)):
+        yield hamiltonians.cluster(n, x, eps=0.0)
+    # translation only: the pinning field breaks the flip, and at n=3 its
+    # diagonal sums are exact in every order
+    for x in (0.0, 0.3, 0.7, 1.2):
+        yield hamiltonians.cluster(3, x)
+    # flip only: X on qubit 1 alone breaks the translation
+    for n in (3, 4, 6):
+        yield hamiltonians.ising(n, 0.7) + hamiltonians.pauli_sum(
+            [hamiltonians.PauliString(n, {1: "X"}, coeff=0.4)]
+        )
+
+
+def _tiled_width(seen, ham):
+    # a complex block of a real matrix stands for its k and n-k blocks
+    real = not np.iscomplexobj(ham) or not ham.imag.any()
+    return sum(len(a) * (2 if real and np.iscomplexobj(a) else 1) for a in seen)
+
+
+def test_symmetry_blocks_match_the_whole_solve(monkeypatch):
+    seen = _record_eig_inputs(monkeypatch)
+    for ham in _oracle_hamiltonians():
+        whole = np.linalg.eigh(ham.astype(complex))
+        del seen[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
+            psi = states.ground_state(ham)
+        # the widest n=10 Ising block has 56 rows
+        assert len(seen) > 1 and _tiled_width(seen, ham) == len(ham)
+        assert max(len(a) for a in seen) <= 64
+        assert psi.dtype == np.complex128
+        energy = np.vdot(psi, ham @ psi).real
+        assert abs(energy - whole.eigenvalues[0]) < 1e-10
+        # below GAP_TOL the whole solve does not resolve its own ground vector
+        if whole.eigenvalues[1] - whole.eigenvalues[0] >= states.GAP_TOL:
+            _assert_equal_up_to_phase(psi, whole.eigenvectors[:, 0])
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 10])
 def test_ising_real_sector_solve_matches_complex_sector_solve(n, monkeypatch):
     seen = _record_eig_inputs(monkeypatch)
@@ -247,38 +293,40 @@ def test_ising_real_sector_solve_matches_complex_sector_solve(n, monkeypatch):
         ham = hamiltonians.ising(n, h)
         del seen[:]
         psi = states.ground_state(ham)
-        # every solve ground_state made (one per sector or reflection block) ran real
-        assert seen and all(a.dtype == np.float64 for a in seen)
+        # k = 0..n//2 per flip parity; the k = 0 and k = n/2 blocks have real
+        # characters and run real, the others complex
+        assert len(seen) == 2 * (n // 2 + 1)
+        assert sum(a.dtype == np.float64 for a in seen) == (2 if n % 2 else 4)
         assert psi.dtype == np.complex128
         _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham))
 
 
-def _flip_symmetric_hamiltonians():
-    for n, h in itertools.product(range(2, 11), (0.05, 0.3, 1.0, 2.0)):
-        yield hamiltonians.ising(n, h)
-    for n, x in itertools.product(range(3, 9), (0.0, 0.3, 0.7, 1.0, 1.2)):
-        yield hamiltonians.cluster(n, x, eps=0.0)
+_ISING_DIGEST = """
+import hashlib
+from qvarlab import hamiltonians, states
+for h in (0.05, 0.3, 0.7, 1.0, 2.0):
+    print(hashlib.sha256(states.ground_state(hamiltonians.ising(10, h)).tobytes()).hexdigest())
+"""
 
 
-def test_reflection_blocks_match_the_sector_solve(monkeypatch):
-    # the Ising ring and the cluster ring at eps=0 are mirror-symmetric, so each
-    # flip sector splits into two reflection blocks (one empty at n=2); n=2 and
-    # n=3 also meet sectors whose blocks have a single row
-    seen = _record_eig_inputs(monkeypatch)
-    for ham in _flip_symmetric_hamiltonians():
-        del seen[:]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
-            psi = states.ground_state(ham)
-        # the blocks tile both sectors, and at least one sector is split
-        assert sum(len(a) for a in seen) == len(ham) and len(seen) > 2
-        energy = np.vdot(psi, ham @ psi).real
-        assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
-        _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham.astype(complex)))
+def test_ising_ring_states_do_not_depend_on_the_blas_thread_count():
+    # every n=10 block is at most 64 wide; the thread count is set in the
+    # child's environment only, before numpy loads its BLAS
+    src = str(Path(states.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ISING_DIGEST], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.split()
+    assert len(digests["1"]) == 5 and digests["1"] == digests["2"]
 
 
 def test_flip_symmetric_matrix_without_reflection_is_solved_per_sector(monkeypatch):
-    # X on qubit 1 alone keeps the flip symmetry but breaks the mirror
+    # X on qubit 1 alone keeps the flip symmetry but breaks the translation
     n = 6
     terms = [hamiltonians.PauliString(n, {1: "X"}, coeff=0.4)]
     for i in range(1, n + 1):
@@ -292,23 +340,49 @@ def test_flip_symmetric_matrix_without_reflection_is_solved_per_sector(monkeypat
     _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham))
 
 
-def test_reflection_tie_goes_to_the_even_block():
-    # a diagonal flip- and mirror-symmetric matrix whose lowest energy sits in
-    # both reflection blocks of the even flip sector: the even block wins, and
-    # the tie is a degenerate ground space of that sector, so it warns
-    n = 3
+def _translation_matrix(n):
+    # T|s> = |s rotated left one bit>, as a real permutation matrix
+    s = np.arange(2**n)
+    t = np.zeros((2**n, 2**n))
+    t[((s << 1) | (s >> (n - 1))) & (2**n - 1), s] = 1.0
+    return t
+
+
+def test_momentum_tie_goes_to_the_even_flip_then_the_lowest_k():
+    # a diagonal matrix that is 0 on one orbit of 8 (trivial stabilizer, so
+    # the orbit meets every (k, f) block) and 1 elsewhere: every block's lowest
+    # energy is 0, the even flip and then k = 0 win, and the level warns
+    n = 4
+    orbit = [1, 2, 4, 8, 14, 13, 11, 7]
     energies = np.ones(2**n)
-    for s in (1, 4, 6, 3):  # 001 <-> 100, and their flips 110 <-> 011
-        energies[s] = 0.0
+    energies[orbit] = 0.0
     with pytest.warns(states.DegenerateGroundSpaceWarning):
-        psi = states.ground_state(np.diag(energies).astype(complex))
-    # even under the flip and under the mirror (bit reversal: 1 <-> 4, 3 <-> 6)
-    assert np.allclose(psi, psi[::-1]) and np.allclose(psi[[1, 3, 4, 6]], 0.5)
+        psi = states.ground_state(np.diag(energies))
+    want = np.zeros(2**n)
+    want[orbit] = 1 / np.sqrt(8)
+    assert np.abs(psi - want).max() < 1e-15
+
+
+def test_ground_state_warns_on_a_plus_minus_k_degenerate_level(monkeypatch):
+    # T + T^T at n=3 is 2 cos(2 pi k / 3) on the momentum-k blocks: its lowest
+    # level -1 sits in the one-row k=1 block of each flip parity, and only the
+    # k=2 twin, which a real matrix does not solve, makes it degenerate
+    t = _translation_matrix(3)
+    ham = t + t.T
+    seen = _record_eig_inputs(monkeypatch)
+    with pytest.warns(states.DegenerateGroundSpaceWarning):
+        psi = states.ground_state(ham)
+    assert sorted(len(a) for a in seen) == [1, 1, 2, 2]
+    assert abs(np.vdot(psi, ham @ psi).real + 1.0) < 1e-12
+    # the lowest k of the even flip parity: T psi = exp(-2 pi i / 3) psi
+    assert np.abs(t @ psi - np.exp(-2j * np.pi / 3) * psi).max() < 1e-12
+    assert np.abs(psi - psi[::-1]).max() < 1e-15
 
 
 def test_flip_symmetric_non_hermitian_matrix_raises():
     ham = hamiltonians.ising(4, 0.7)
     d = len(ham)
+    t = _translation_matrix(4)
     for bump in (1e-6, 1e-6j):
         bad = ham.copy()
         bad[0, 1] += bump  # in A, and mirrored so the flip symmetry stays
@@ -316,12 +390,12 @@ def test_flip_symmetric_non_hermitian_matrix_raises():
         assert np.array_equal(bad[::-1, ::-1], bad)
         with pytest.raises(ValueError, match="not Hermitian"):
             states.ground_state(bad)
-        # bumped at the mirror images too (bit reversal: 1 <-> 8, 14 <-> 7), so
-        # the sectors split into reflection blocks and a block check must catch it
-        bad[0, 8] += bump
-        bad[d - 1, d - 1 - 8] += bump
-        rev = [int(f"{s:04b}"[::-1], 2) for s in range(d)]
-        assert np.array_equal(bad[np.ix_(rev, rev)], bad)
+        # bumped at every translation of those entries too, so the matrix keeps
+        # both symmetries and a momentum block's check must catch the defect
+        for bit in (2, 4, 8):  # 1 rotated by one, two and three places
+            bad[0, bit] += bump
+            bad[d - 1, d - 1 - bit] += bump
+        assert np.array_equal(t @ bad @ t.T, bad) and np.array_equal(bad[::-1, ::-1], bad)
         with pytest.raises(ValueError, match="not Hermitian"):
             states.ground_state(bad)
 
