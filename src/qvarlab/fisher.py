@@ -7,8 +7,9 @@ information of the outcome distribution) which in turn is bounded below by
 three on a grid and checks the ordering.
 
 Every label derivative is a central finite difference over one stencil, the
-states at alpha and alpha +- PROB_STEP (1e-4); state vectors are renormalized
-and phase-aligned before differencing.
+states at alpha and alpha +- PROB_STEP (1e-4). Every state enters as its
+ensemble (observables.as_ensemble), a pure state as one row of weight 1, so
+pure and mixed states share one route and no d x d state is formed.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .observables import ParamObservable, SpectralObservable, _coerce_state, matrix, moments
+from .observables import ParamObservable, SpectralObservable, as_ensemble, matrix, moments
 from .states import LabeledState, fidelity
 
 PROB_STEP = 1e-4
@@ -46,8 +47,8 @@ class StateFamily:
     Pure states are memoized per alpha on the family object, so a grid point
     that training, the bound-chain stencil (alpha, alpha +- PROB_STEP) and
     the CSV rows all visit costs one evaluation (one ground-state solve for
-    the spin-chain families). Mixed states are not kept: bound_chain leaves
-    each one's d x d LabeledState.density() on it, so a kept grid would hold
+    the spin-chain families). Mixed states are not kept: a Naimark-embedded
+    mixed state carries d + 2 rows of its own, so a kept grid would hold
     hundreds of MB at n=8, while the mixture's closed form is cheap to redo.
     """
 
@@ -62,7 +63,7 @@ class StateFamily:
         st = self._pure.get(alpha)
         if st is None:
             st = self.evaluator(alpha)
-            if st.is_pure:
+            if st.psi is not None:
                 self._pure[alpha] = st
         return st
 
@@ -84,15 +85,16 @@ class FisherReport:
 
 
 def outcome_probs(projectors, state) -> np.ndarray:
-    """Probabilities Tr(P_k rho) for a stack of projectors."""
+    """Probabilities Tr(P_k rho) = noise Tr(P_k)/d + sum_r w_r <r|P_k|r> for a
+    stack of projectors, the row terms in one einsum; a pure state's values
+    are einsum("kij,i,j->k") of psi bit for bit. Values below 1e-14 are
+    clamped to zero."""
     if isinstance(projectors, SpectralObservable):
         projectors = projectors.projectors
     proj = np.asarray(projectors, dtype=complex)
-    state = _coerce_state(state)
-    if state.ndim == 1:
-        p = np.einsum("kij,i,j->k", proj, state.conj(), state).real
-    else:
-        p = np.einsum("kij,ji->k", proj, state).real
+    w, rows, noise = as_ensemble(state)
+    p = noise * np.einsum("kii->k", proj).real / proj.shape[1]
+    p += w @ np.einsum("kij,ri,rj->rk", proj, rows.conj(), rows).real
     p[np.abs(p) < 1e-14] = 0.0
     return p
 
@@ -145,20 +147,6 @@ def cfi_mixture_closed(alpha: float, p1, p2) -> float:
     return fisher_information(alpha * p1 + (1.0 - alpha) * p2, p1 - p2)
 
 
-def qfi_pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
-    """QFI of a pure family: 4 (<dpsi|dpsi> - |<psi|dpsi>|^2).
-
-    The second term removes the global-phase component of the derivative; it
-    vanishes for real parametrizations.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    dpsi = np.asarray(dpsi, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"psi must be normalized (norm {nrm:.10f})")
-    return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2))
-
-
 def qfi_spectral(rho: np.ndarray, drho: np.ndarray) -> float:
     """QFI from the spectral sum 2 sum_{ij} |<i|drho|j>|^2 / (l_i + l_j),
     restricted to eigenvalue pairs with l_i + l_j > 1e-12.
@@ -200,17 +188,29 @@ def qfi_fidelity(family: StateFamily, alpha: float, dalpha: float = 1e-3) -> flo
 
 
 def _family_qfi(stencil: Sequence[LabeledState]) -> float:
-    """QFI at the stencil's centre; dpsi differences the renormalized outer
-    states, the forward one rotated so that <psi_-|psi_+> is real positive."""
-    lo, mid, hi = stencil
-    if not mid.is_pure:
-        return qfi_spectral(mid.density(), _slope(LabeledState.density, stencil))
-    sm = lo.psi / np.linalg.norm(lo.psi)
-    sp = hi.psi / np.linalg.norm(hi.psi)
-    overlap = np.vdot(sm, sp)
-    if abs(overlap) > 0.0:
-        sp = sp * (overlap.conj() / abs(overlap))
-    return qfi_pure(mid.psi, (sp - sm) / (2.0 * PROB_STEP))
+    """QFI at the stencil's centre in the span of its rows (Liu, Jing & Wang,
+    Commun. Theor. Phys. 61, 45 (2014)): with Q of width k an orthonormal
+    basis of the distinct rows, qfi_spectral of Q^dag rho Q and Q^dag drho Q,
+    plus (d - k) noise'^2 / (d noise) for the white part off span(Q), which
+    is 0 where the noise weight holds still and inf where it leaves 0."""
+    ens = [st.ensemble() for st in stencil]
+    d = stencil[1].dim
+    distinct = {r.tobytes(): r for e in ens for r in e.rows}
+    q = np.linalg.qr(np.reshape(list(distinct.values()), (-1, d)).T)[0]
+    k = q.shape[1]
+
+    def compressed(e) -> np.ndarray:
+        a = q.conj().T @ e.rows.T
+        rho = (a * e.weights) @ a.conj().T
+        rho[np.diag_indices(k)] += e.noise / d
+        return rho
+
+    lo, mid, hi = ens
+    iq = qfi_spectral(compressed(mid), _slope(compressed, ens)) if k else 0.0
+    dnoise = (hi.noise - lo.noise) / (2.0 * PROB_STEP)
+    if k < d and dnoise:
+        iq += (d - k) * dnoise**2 / (d * mid.noise) if mid.noise > 0 else float("inf")
+    return iq
 
 
 def bound_chain(

@@ -20,7 +20,8 @@ import numpy as np
 from . import linalg
 from .fisher import StateFamily, fisher_information, outcome_probs
 from .observables import SpectralObservable
-from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ghz, mixture_state, rank2_state
+from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ghz, mixture_state
+from .states import check_rank2, rank2_state
 
 EIG_FLOOR = 1e-15
 SLOPE_TOL = 1e-12
@@ -39,13 +40,13 @@ class MixtureModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [0, 1]")
-        v1 = ghz(self.n, +1) if self.v1 is None else np.asarray(self.v1, dtype=complex)
-        v2 = ghz(self.n, -1) if self.v2 is None else np.asarray(self.v2, dtype=complex)
+        v1, v2 = check_rank2(
+            self.r,
+            ghz(self.n, +1) if self.v1 is None else self.v1,
+            ghz(self.n, -1) if self.v2 is None else self.v2,
+        )
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
-        rank2_state(self.r, v1, v2)  # validates orthonormality and r
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,8 @@ is
 so every projector has rank 2**(n-m). Probabilities, expectation values and
 variances are computed by evolving the state's weighted pure rows and
 marginalizing the outcome bits, which agrees with the dense projector route
-but stays cheap. A LabeledState brings its own rows (LabeledState.ensemble:
+but stays cheap. as_ensemble gives every state its rows, here and in
+fisher.outcome_probs: a LabeledState brings its own (LabeledState.ensemble:
 a pure state's one row, or a mixed state's ensemble, such as the mixture
 family's closed form with two rows); a bare vector or density matrix is
 first checked to be a state (states.check_state), then decomposed by
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, apply_circuit, unitary
-from .states import LabeledState, check_state, white_noise_ensemble
+from .states import Ensemble, LabeledState, check_state, white_noise_ensemble
 
 PROB_CLAMP = 1e-14
 
@@ -67,15 +68,13 @@ class SpectralObservable:
         return np.einsum("k,kij->ij", self.lambdas, self.projectors)
 
 
-def _coerce_state(state) -> np.ndarray:
-    """A LabeledState's psi or density (valid by construction), or a bare
-    vector or density matrix once states.check_state accepts it."""
+def as_ensemble(state) -> Ensemble:
+    """The state's ensemble: a LabeledState's own (valid by construction), or
+    states.white_noise_ensemble of a bare vector or density matrix once
+    states.check_state accepts it."""
     if isinstance(state, LabeledState):
-        return state.psi if state.is_pure else state.density()
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"state must be a vector or density matrix, got {arr.ndim}d")
-    return check_state(arr)
+        return state.ensemble()
+    return white_noise_ensemble(check_state(np.asarray(state, dtype=complex)))
 
 
 def ensemble_outcomes(rows: np.ndarray, weights: np.ndarray, noise, m: int) -> np.ndarray:
@@ -99,10 +98,7 @@ def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:
     family state costs no eigendecomposition. Values below 1e-14 are clamped
     to exactly zero.
     """
-    if isinstance(state, LabeledState):
-        ens = state.ensemble()
-    else:
-        ens = white_noise_ensemble(_coerce_state(state))
+    ens = as_ensemble(state)
     rows = apply_circuit(obs.circuit, theta, ens.rows)
     p = ensemble_outcomes(rows, ens.weights, ens.noise, obs.m)
     p[p < PROB_CLAMP] = 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -81,20 +81,12 @@ class LabeledState:
         return len(self.psi) if self.psi is not None else self.ens.rows.shape[1]
 
     def density(self) -> np.ndarray:
-        """The d x d matrix, for the dense routines only (bound_chain's
-        projector stack and mixed-state QFI, fidelity). A mixed state's is
-        summed from its ensemble once and kept, read-only, on the object."""
-        if self.psi is not None:
-            return np.outer(self.psi, self.psi.conj())
-        return self._density
-
-    @cached_property
-    def _density(self) -> np.ndarray:
-        """sum_k w_k |r_k><r_k| + noise * I/d."""
-        w, rows, noise = self.ens
+        """The d x d matrix sum_k w_k |r_k><r_k| + noise * I/d, summed from
+        the ensemble on each call, for the dense routines only (fidelity,
+        qfi_fidelity); nothing on the bound-chain or training path reads it."""
+        w, rows, noise = self.ensemble()
         rho = (rows.T * w) @ rows.conj()
         rho[np.diag_indices(self.dim)] += noise / self.dim
-        rho.flags.writeable = False
         return rho
 
     def ensemble(self) -> Ensemble:
@@ -169,8 +161,9 @@ def ghz(n: int, sign: int = +1) -> np.ndarray:
     return v
 
 
-def rank2_state(r: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Density matrix r |v1><v1| + (1-r) |v2><v2| for orthonormal v1, v2."""
+def check_rank2(r: float, v1, v2) -> tuple[np.ndarray, np.ndarray]:
+    """v1 and v2 as complex vectors if r lies in [0, 1] and v1, v2 are
+    orthonormal to NORM_TOL, else ValueError; no matrix is built."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"weight r must lie in [0, 1], got {r}")
     v1 = np.asarray(v1, dtype=complex)
@@ -184,6 +177,12 @@ def rank2_state(r: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     overlap = abs(np.vdot(v1, v2))
     if overlap > NORM_TOL:
         raise ValueError(f"v1 and v2 must be orthogonal (|<v1|v2>| = {overlap:.3e})")
+    return v1, v2
+
+
+def rank2_state(r: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Density matrix r |v1><v1| + (1-r) |v2><v2| for orthonormal v1, v2."""
+    v1, v2 = check_rank2(r, v1, v2)
     return r * np.outer(v1, v1.conj()) + (1.0 - r) * np.outer(v2, v2.conj())
 
 

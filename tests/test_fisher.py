@@ -3,6 +3,7 @@ import pytest
 
 from qvarlab import circuits as qc
 from qvarlab import fisher
+from qvarlab.cli import _embed_item
 from qvarlab.fisher import (
     ChainViolationError,
     FisherReport,
@@ -13,15 +14,14 @@ from qvarlab.fisher import (
     cfi_mixture_closed,
     outcome_probs,
     qfi_fidelity,
-    qfi_pure,
     qfi_spectral,
     sld,
 )
 from qvarlab.hamiltonians import ising
 from qvarlab.linalg import herm_eig
-from qvarlab.mixture import MixtureModel, optimal_observable_matrix
+from qvarlab.mixture import MixtureModel, optimal_observable_matrix, qfi_commuting
 from qvarlab.observables import ParamObservable, matrix
-from qvarlab.states import LabeledState, ground_state, white_noise_ensemble
+from qvarlab.states import Ensemble, LabeledState, ground_state, white_noise_ensemble
 
 Z_PROJ = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
 
@@ -83,6 +83,38 @@ def test_outcome_probs_input_forms():
     assert np.allclose(outcome_probs(spec, psi), want, atol=1e-15)
 
 
+def _random_ensemble(rng, d, rank, noise):
+    rows = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    w = rng.uniform(0.1, 1.0, rank)
+    return Ensemble(w * (1.0 - noise) / w.sum(), rows, noise)
+
+
+def test_outcome_probs_of_a_pure_state_keep_the_vector_einsum_bits():
+    rng = np.random.default_rng(12)
+    c = qc.hea(4, 2)
+    spec = matrix(ParamObservable(c, 2, np.arange(4.0)), rng.uniform(0, 2 * np.pi, c.param_count))
+    for trial in range(4):
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        want = np.einsum("kij,i,j->k", spec.projectors, psi.conj(), psi).real
+        want[np.abs(want) < 1e-14] = 0.0
+        assert np.array_equal(outcome_probs(spec, psi), want)
+        assert np.array_equal(outcome_probs(spec, LabeledState(0.1, psi=psi)), want)
+
+
+def test_outcome_probs_of_an_ensemble_match_the_dense_trace():
+    rng = np.random.default_rng(13)
+    c = qc.hea(3, 2)
+    spec = matrix(ParamObservable(c, 2, np.arange(4.0)), rng.uniform(0, 2 * np.pi, c.param_count))
+    white = Ensemble(np.zeros(0), np.zeros((0, 8), dtype=complex), 1.0)
+    naimark = _embed_item(MixtureModel(2, 0.25).family().state(0.4), 1).ensemble()
+    for ens in (_random_ensemble(rng, 8, 3, 0.3), white, naimark):
+        st = LabeledState(0.4, ens=ens)
+        want = np.einsum("kij,ji->k", spec.projectors, st.density()).real
+        assert np.abs(outcome_probs(spec, st) - want).max() < 1e-14
+
+
 def test_outcome_probs_clamps_tiny_values():
     psi = np.array([1.0, 1e-8], dtype=complex)
     psi /= np.linalg.norm(psi)
@@ -133,26 +165,83 @@ def test_cfi_mixture_closed_errors():
         cfi_mixture_closed(1.0, [1.0, 0.0], [0.0, 1.0])
 
 
-def test_qfi_pure_bloch_rotation():
-    psi = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
-    dpsi = np.array([-np.sin(0.3), np.cos(0.3)], dtype=complex)
-    assert abs(qfi_pure(psi, dpsi) - 4.0) < 1e-14
+def _span_qfi(fam, alpha):
+    return fisher._family_qfi(fisher._stencil(fam, alpha))
 
 
-def test_qfi_pure_removes_global_phase():
-    # d/da [e^{ia} psi(a)] gains i psi, which the projection term cancels
-    a = 0.3
-    psi = np.exp(1j * a) * np.array([np.cos(a), np.sin(a)], dtype=complex)
-    dpsi = 1j * psi + np.exp(1j * a) * np.array([-np.sin(a), np.cos(a)])
-    assert abs(qfi_pure(psi, dpsi) - 4.0) < 1e-14
+@pytest.mark.parametrize("n", [3, 5, 8, 10])
+def test_span_qfi_matches_the_commuting_mixture_form(n):
+    fam = MixtureModel(n, 0.25).family()
+    for a in (0.1, 0.5, 0.9):
+        want = qfi_commuting(a, n, 0.25)
+        assert abs(_span_qfi(fam, a) / want - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_span_qfi_matches_dense_qfi_spectral(d):
+    # rank-R ensembles of non-orthogonal rows plus white noise, every weight
+    # and row moving with alpha
+    rng = np.random.default_rng(d)
+    for rank in range(1, 5):
+        e0, e1 = _random_ensemble(rng, d, rank, 0.3), _random_ensemble(rng, d, rank, 0.2)
+
+        def ev(a, e0=e0, e1=e1):
+            rows = np.cos(a) * e0.rows + np.sin(a) * e1.rows
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            w = (1.0 - a) * e0.weights + a * e1.weights
+            return LabeledState(a, ens=Ensemble(w, rows, (1.0 - a) * e0.noise + a * e1.noise))
+
+        fam = StateFamily(ev, (0.0, 1.0))
+        for a in (0.2, 0.6):
+            stencil = fisher._stencil(fam, a)
+            want = qfi_spectral(stencil[1].density(), fisher._slope(LabeledState.density, stencil))
+            assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-10
+
+
+def test_span_qfi_at_a_centre_with_no_rows():
+    # rho(a) = |a| |e_s><e_s| + (1 - |a|) I/4, s the sign of a: the centre is
+    # I/4, whose ensemble has no rows, and drho = (|e_0><e_0| - |e_1><e_1|)/2
+    eye = np.eye(4, dtype=complex)
+
+    def ev(a):
+        if a == 0.0:
+            return LabeledState(a, ens=Ensemble(np.zeros(0), eye[:0], 1.0))
+        return LabeledState(a, ens=Ensemble(np.array([abs(a)]), eye[[int(a < 0)]], 1.0 - abs(a)))
+
+    stencil = fisher._stencil(StateFamily(ev, (-1.0, 1.0)), 0.0)
+    want = qfi_spectral(np.eye(4) / 4, fisher._slope(LabeledState.density, stencil))
+    assert abs(want - 2.0) < 1e-9
+    assert abs(fisher._family_qfi(stencil) - want) < 1e-12
+    # white noise at every stencil point: no rows anywhere, no information
+    flat = StateFamily(lambda a: LabeledState(a, ens=Ensemble(np.zeros(0), eye[:0], 1.0)), (-1, 1))
+    assert _span_qfi(flat, 0.0) == 0.0
+
+
+def test_span_qfi_of_pure_states_ignores_the_global_phase():
+    # the Bloch rotation (cos a, sin a) has QFI 4; the phase e^{ia} adds nothing
+    plain = _span_qfi(_bloch_family(), 0.3)
+    assert abs(plain - 4.0) < 1e-7
+    assert abs(_span_qfi(_bloch_family(global_phase=True), 0.3) - plain) < 1e-10
     # a pure global-phase path carries no information at all
-    flat = np.array([1.0, 0.0], dtype=complex)
-    assert abs(qfi_pure(flat, 1j * flat)) < 1e-14
+    phase = StateFamily(lambda a: LabeledState(a, psi=np.array([np.exp(1j * a), 0.0])), (-1, 1))
+    assert abs(_span_qfi(phase, 0.3)) < 1e-14
 
 
-def test_qfi_pure_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        qfi_pure(np.array([1.0, 1.0]), np.zeros(2))
+def test_span_qfi_diverges_where_the_noise_weight_leaves_zero():
+    # rho(a) = b |0><0| + (1 - b) I/4 with b = 1 - max(a, 0): at a = 0 the
+    # noise weight leaves 0 with slope 1/2 over the stencil, so (d - k)
+    # (dnoise)^2 / (d noise) is infinite; elsewhere the span route is exact
+    eye = np.eye(4, dtype=complex)
+
+    def ev(a):
+        b = max(a, 0.0)
+        return LabeledState(a, ens=Ensemble(np.array([1.0 - b]), eye[:1], b))
+
+    fam = StateFamily(ev, (-1.0, 1.0))
+    assert _span_qfi(fam, 0.0) == float("inf")
+    stencil = fisher._stencil(fam, 0.5)
+    want = qfi_spectral(stencil[1].density(), fisher._slope(LabeledState.density, stencil))
+    assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-12
 
 
 def test_qfi_spectral_frozen_mixture_value():

@@ -125,16 +125,16 @@ def test_white_noise_ensemble_rejects_non_psd():
     states.LabeledState(label=0.0, ens=ens)
 
 
-def test_density_is_summed_once_per_mixed_state():
+def test_density_sums_the_ensemble():
     rng = np.random.default_rng(8)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     st = states.LabeledState(label=0.2, ens=states.white_noise_ensemble(rho))
-    assert "_density" not in vars(st)
-    dense = st.density()
-    assert st.density() is dense and not dense.flags.writeable
-    assert np.abs(dense - rho).max() < 1e-14
+    assert np.abs(st.density() - rho).max() < 1e-14
+    psi = g[0] / np.linalg.norm(g[0])
+    pure = states.LabeledState(label=0.2, psi=psi)
+    assert np.abs(pure.density() - np.outer(psi, psi.conj())).max() < 1e-15
 
 
 def test_fidelity_known_values():
