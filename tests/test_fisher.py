@@ -217,10 +217,14 @@ def test_span_qfi_at_a_centre_with_no_rows():
     assert _span_qfi(flat, 0.0) == 0.0
 
 
-def test_span_qfi_of_pure_states_ignores_the_global_phase():
-    # the Bloch rotation (cos a, sin a) has QFI 4; the phase e^{ia} adds nothing
+def test_qfi_pure_bloch_rotation():
+    # the Bloch rotation (cos a, sin a) has QFI 4 through the span route
+    assert abs(_span_qfi(_bloch_family(), 0.3) - 4.0) < 1e-7
+
+
+def test_qfi_pure_removes_global_phase():
+    # the phase e^{ia} on the Bloch rotation adds nothing
     plain = _span_qfi(_bloch_family(), 0.3)
-    assert abs(plain - 4.0) < 1e-7
     assert abs(_span_qfi(_bloch_family(global_phase=True), 0.3) - plain) < 1e-10
     # a pure global-phase path carries no information at all
     phase = StateFamily(lambda a: LabeledState(a, psi=np.array([np.exp(1j * a), 0.0])), (-1, 1))
