@@ -63,7 +63,7 @@ class StateFamily:
         st = self._pure.get(alpha)
         if st is None:
             st = self.evaluator(alpha)
-            if st.psi is not None:
+            if st.is_pure:
                 self._pure[alpha] = st
         return st
 
@@ -86,15 +86,18 @@ class FisherReport:
 
 def outcome_probs(projectors, state) -> np.ndarray:
     """Probabilities Tr(P_k rho) = noise Tr(P_k)/d + sum_r w_r <r|P_k|r> for a
-    stack of projectors, the row terms in one einsum; a pure state's values
-    are einsum("kij,i,j->k") of psi bit for bit. Values below 1e-14 are
-    clamped to zero."""
+    stack of projectors, clamped to zero below 1e-14. One row (every pure
+    state) keeps the bits of einsum("kij,i,j->k"); several rows take one
+    batched BLAS matmul P_k @ rows^T, not one naive einsum pass per row."""
     if isinstance(projectors, SpectralObservable):
         projectors = projectors.projectors
     proj = np.asarray(projectors, dtype=complex)
     w, rows, noise = as_ensemble(state)
     p = noise * np.einsum("kii->k", proj).real / proj.shape[1]
-    p += w @ np.einsum("kij,ri,rj->rk", proj, rows.conj(), rows).real
+    if len(rows) == 1:
+        p += w[0] * np.einsum("kij,i,j->k", proj, rows[0].conj(), rows[0]).real
+    else:
+        p += np.einsum("kir,ri->kr", proj @ rows.T, rows.conj()).real @ w
     p[np.abs(p) < 1e-14] = 0.0
     return p
 
@@ -191,10 +194,11 @@ def _family_qfi(stencil: Sequence[LabeledState]) -> float:
     """QFI at the stencil's centre in the span of its rows (Liu, Jing & Wang,
     Commun. Theor. Phys. 61, 45 (2014)): with Q of width k an orthonormal
     basis of the distinct rows, qfi_spectral of Q^dag rho Q and Q^dag drho Q,
-    plus (d - k) noise'^2 / (d noise) for the white part off span(Q), which
-    is 0 where the noise weight holds still and inf where it leaves 0."""
+    plus (d - k) noise'^2 / (d noise) for the white part off span(Q): 0 for
+    a noise slope below DPROB_TOL (rounding, as in fisher_information), inf
+    where the noise leaves 0."""
     ens = [st.ensemble() for st in stencil]
-    d = stencil[1].dim
+    mid, d = ens[1], stencil[1].dim
     distinct = {r.tobytes(): r for e in ens for r in e.rows}
     q = np.linalg.qr(np.reshape(list(distinct.values()), (-1, d)).T)[0]
     k = q.shape[1]
@@ -205,10 +209,9 @@ def _family_qfi(stencil: Sequence[LabeledState]) -> float:
         rho[np.diag_indices(k)] += e.noise / d
         return rho
 
-    lo, mid, hi = ens
     iq = qfi_spectral(compressed(mid), _slope(compressed, ens)) if k else 0.0
-    dnoise = (hi.noise - lo.noise) / (2.0 * PROB_STEP)
-    if k < d and dnoise:
+    dnoise = _slope(lambda e: e.noise, ens)
+    if k < d and abs(dnoise) >= DPROB_TOL:
         iq += (d - k) * dnoise**2 / (d * mid.noise) if mid.noise > 0 else float("inf")
     return iq
 

@@ -40,11 +40,11 @@ class MixtureModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        v1, v2 = check_rank2(
-            self.r,
-            ghz(self.n, +1) if self.v1 is None else self.v1,
-            ghz(self.n, -1) if self.v2 is None else self.v2,
-        )
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError("r must lie in [0, 1]")
+        v1 = ghz(self.n, +1) if self.v1 is None else self.v1
+        v2 = ghz(self.n, -1) if self.v2 is None else self.v2
+        v1, v2 = check_rank2(self.r, v1, v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
 

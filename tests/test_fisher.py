@@ -248,6 +248,32 @@ def test_span_qfi_diverges_where_the_noise_weight_leaves_zero():
     assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_span_qfi_of_decomposed_pure_densities_matches_the_vectors(d):
+    # white_noise_ensemble of |psi><psi| stores noise d lambda_min, rounding
+    # of either sign that moves between stencil points; the white term must
+    # read it as no noise, not as noise leaving 0 (inf QFI, inv_qfi 0)
+    rng = np.random.default_rng(d)
+    u, v = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
+    v -= np.vdot(u, v) / np.vdot(u, u) * u
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+
+    def psi(a):
+        return np.cos(a) * u + np.exp(1j * a) * np.sin(a) * v
+
+    vec = StateFamily(lambda a: LabeledState(a, psi=psi(a)), (-1.0, 2.0))
+    dense = StateFamily(
+        lambda a: LabeledState(a, ens=white_noise_ensemble(np.outer(psi(a), psi(a).conj()))),
+        (-1.0, 2.0),
+    )
+    noises = []
+    for a in np.linspace(0.1, 1.4, 14):
+        stencil = fisher._stencil(dense, a)
+        noises += [st.ensemble().noise for st in stencil]
+        assert abs(fisher._family_qfi(stencil) / _span_qfi(vec, a) - 1.0) < 1e-7
+    assert min(noises) < 0.0 and max(map(abs, noises)) < 1e-12
+
+
 def test_qfi_spectral_frozen_mixture_value():
     model = MixtureModel(2, 0.5)
     rho = model.rho(0.5)
