@@ -27,7 +27,7 @@ from .mixture import (
     variance_partial,
 )
 from .observables import ParamObservable, moments, probabilities
-from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ground_state
+from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ground_state, white_noise_ensemble
 from .training import TrainConfig, TrainSet, make_trainset, train
 
 CSV_HEADER = "alpha,prediction,sq_error,variance,inv_cfi,inv_qfi,analytic_variance,flag"
@@ -71,7 +71,8 @@ class ExperimentConfig:
 
 def _ground_family(hamiltonian_of_alpha, alpha_range: tuple[float, float]) -> StateFamily:
     def ev(alpha: float) -> LabeledState:
-        return LabeledState(label=float(alpha), psi=ground_state(hamiltonian_of_alpha(alpha)))
+        psi = ground_state(hamiltonian_of_alpha(alpha))
+        return LabeledState(float(alpha), white_noise_ensemble(psi))
 
     return StateFamily(evaluator=ev, alpha_range=alpha_range)
 
@@ -281,14 +282,14 @@ def run(config: ExperimentConfig) -> list[str]:
 def _embed_item(item: LabeledState, ma: int) -> LabeledState:
     """The item with ma fresh |0> ancillas appended at the least significant end.
 
-    One formula over item.ensemble(): each row r becomes r x |0...0>, and the
-    noise, white on the data qubits only, becomes d rows e_j x |0...0> of
-    weight noise/d each (dropped at or below ENSEMBLE_FLOOR), with no noise
-    left. The e_j rows are the same bytes in every item, so the training
-    engine evolves them once per train set. A pure item is one row of weight
-    1 with no noise, so it stays pure.
+    One formula over item.ens: each row r becomes r x |0...0>, and the noise,
+    white on the data qubits only, becomes d rows e_j x |0...0> of weight
+    noise/d each (dropped at or below ENSEMBLE_FLOOR), with no noise left.
+    The e_j rows are the same bytes in every item, so the training engine
+    evolves them once per train set. A pure item is one row of weight 1 with
+    no noise, so it stays pure.
     """
-    ens = item.ensemble()
+    ens = item.ens
     d = item.dim
     rows, weights = ens.rows, ens.weights
     if ens.noise / d > ENSEMBLE_FLOOR:
@@ -296,10 +297,7 @@ def _embed_item(item: LabeledState, ma: int) -> LabeledState:
         weights = np.concatenate([weights, np.full(d, ens.noise / d)])
     embedded = np.zeros((len(rows), d, 2**ma), dtype=complex)
     embedded[:, :, 0] = rows
-    embedded = embedded.reshape(len(rows), -1)
-    if item.is_pure:
-        return LabeledState(label=item.label, psi=embedded[0])
-    return LabeledState(label=item.label, ens=Ensemble(weights, embedded, 0.0))
+    return LabeledState(item.label, Ensemble(weights, embedded.reshape(len(rows), -1), 0.0))
 
 
 def _parse_m(text: str) -> tuple[int, ...]:

@@ -44,12 +44,13 @@ class ChainViolationError(RuntimeError):
 class StateFamily:
     """A differentiable path alpha -> state over a validity interval.
 
-    Pure states are memoized per alpha on the family object, so a grid point
-    that training, the bound-chain stencil (alpha, alpha +- PROB_STEP) and
-    the CSV rows all visit costs one evaluation (one ground-state solve for
-    the spin-chain families). Mixed states are not kept: a Naimark-embedded
-    mixed state carries d + 2 rows of its own, so a kept grid would hold
-    hundreds of MB at n=8, while the mixture's closed form is cheap to redo.
+    Pure states (one row, no noise) are memoized per alpha on the family
+    object, so a grid point that training, the bound-chain stencil (alpha,
+    alpha +- PROB_STEP) and the CSV rows all visit costs one evaluation (one
+    ground-state solve for the spin-chain families). Mixed states, even of
+    one row, are not kept: a Naimark-embedded mixed state carries d + 2 rows
+    of its own, so a kept grid would hold hundreds of MB at n=8, while the
+    mixture's closed form is cheap to redo.
     """
 
     evaluator: Callable[[float], LabeledState]
@@ -63,7 +64,7 @@ class StateFamily:
         st = self._pure.get(alpha)
         if st is None:
             st = self.evaluator(alpha)
-            if st.is_pure:
+            if len(st.ens.rows) == 1 and st.ens.noise == 0.0:
                 self._pure[alpha] = st
         return st
 
@@ -197,7 +198,7 @@ def _family_qfi(stencil: Sequence[LabeledState]) -> float:
     plus (d - k) noise'^2 / (d noise) for the white part off span(Q): 0 for
     a noise slope below DPROB_TOL (rounding, as in fisher_information), inf
     where the noise leaves 0."""
-    ens = [st.ensemble() for st in stencil]
+    ens = [st.ens for st in stencil]
     mid, d = ens[1], stencil[1].dim
     distinct = {r.tobytes(): r for e in ens for r in e.rows}
     q = np.linalg.qr(np.reshape(list(distinct.values()), (-1, d)).T)[0]

@@ -55,7 +55,8 @@ def hermiticity_defect(a) -> float:
 
 def _check_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
     defect = hermiticity_defect(a)
-    if defect > tol:
+    # "not <=" so that a NaN defect fails too
+    if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
     return a
 

@@ -11,11 +11,11 @@ so every projector has rank 2**(n-m). Probabilities, expectation values and
 variances are computed by evolving the state's weighted pure rows and
 marginalizing the outcome bits, which agrees with the dense projector route
 but stays cheap. as_ensemble gives every state its rows, here and in
-fisher.outcome_probs: a LabeledState brings its own (LabeledState.ensemble:
-a pure state's one row, or a mixed state's ensemble, such as the mixture
+fisher.outcome_probs: a LabeledState brings its own (LabeledState.ens: a
+pure state's one row, or a mixed state's ensemble, such as the mixture
 family's closed form with two rows); a bare vector or density matrix is
-first checked to be a state (states.check_state), then decomposed by
-states.white_noise_ensemble: a bare density matrix costs an eigvalsh and an
+decomposed by states.white_noise_ensemble and checked by
+states.check_ensemble, so a bare density matrix costs one
 eigendecomposition per call.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, apply_circuit, unitary
-from .states import Ensemble, LabeledState, check_state, white_noise_ensemble
+from .states import Ensemble, LabeledState, check_ensemble, white_noise_ensemble
 
 PROB_CLAMP = 1e-14
 
@@ -69,12 +69,12 @@ class SpectralObservable:
 
 
 def as_ensemble(state) -> Ensemble:
-    """The state's ensemble: a LabeledState's own (valid by construction), or
-    states.white_noise_ensemble of a bare vector or density matrix once
-    states.check_state accepts it."""
+    """The state's ensemble: a LabeledState's own (checked at construction),
+    or states.white_noise_ensemble of a bare vector or density matrix, then
+    checked by states.check_ensemble."""
     if isinstance(state, LabeledState):
-        return state.ensemble()
-    return white_noise_ensemble(check_state(np.asarray(state, dtype=complex)))
+        return state.ens
+    return check_ensemble(white_noise_ensemble(state))
 
 
 def ensemble_outcomes(rows: np.ndarray, weights: np.ndarray, noise, m: int) -> np.ndarray:
@@ -94,7 +94,7 @@ def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:
     """Outcome distribution over the 2**m readout results.
 
     state is a vector, a density matrix, or a LabeledState; a LabeledState
-    is evolved as its own ensemble (LabeledState.ensemble), so a mixture
+    is evolved as its own ensemble (LabeledState.ens), so a mixture
     family state costs no eigendecomposition. Values below 1e-14 are clamped
     to exactly zero.
     """

@@ -1,5 +1,8 @@
 """State constructors, labeled states, fidelity, and ground states.
 
+A LabeledState is a label and its ensemble, checked by check_ensemble;
+white_noise_ensemble makes one from a vector or a density matrix.
+
 ground_state solves a Hamiltonian per block of its exact symmetries: the
 global spin flip and the ring translation, each used only when the matrix
 commutes with it bit for bit. A block is one momentum k and one flip parity
@@ -32,69 +35,31 @@ class DegenerateGroundSpaceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class LabeledState:
-    """A quantum state tagged with the real label it encodes.
+    """A quantum state, as its ensemble, tagged with the real label it encodes.
 
-    Exactly one of psi (unit vector) or ens (weighted unit rows plus white
-    noise) is set: a mixed state is its ensemble. The ensemble is checked at
-    construction: one unit row per weight, weights >= 0, noise no lower than
-    d * EIGENVALUE_CLIP (the rounding white_noise_ensemble lets through), and
-    sum(weights) + noise = 1.
+    ens is checked at construction (check_ensemble). A pure state is
+    LabeledState(label, white_noise_ensemble(psi)): one row of weight 1 with
+    no noise.
     """
 
     label: float
-    psi: np.ndarray | None = None
-    ens: Ensemble | None = field(default=None, repr=False)
+    ens: Ensemble = field(repr=False)
 
     def __post_init__(self):
-        if (self.psi is None) == (self.ens is None):
-            raise ValueError("exactly one of psi or ens must be given")
-        if self.psi is not None:
-            psi = np.asarray(self.psi, dtype=complex)
-            if psi.ndim != 1:
-                raise ValueError(f"psi must be a vector, got shape {psi.shape}")
-            nrm = np.linalg.norm(psi)
-            # each check is written as "not <=" so that a NaN fails it too
-            if not abs(nrm - 1.0) <= NORM_TOL:
-                raise ValueError(f"psi must be normalized (norm {nrm:.12f})")
-            object.__setattr__(self, "psi", psi)
-            return
-        # asarray keeps the caller's arrays, so states built from one array share it
-        w = np.asarray(self.ens.weights, dtype=float)
-        rows = np.asarray(self.ens.rows, dtype=complex)
-        noise = float(self.ens.noise)
-        if rows.ndim != 2 or w.shape != (len(rows),):
-            raise ValueError(f"ensemble has weights of shape {w.shape} for rows {rows.shape}")
-        if np.any(w < 0.0) or noise < rows.shape[1] * EIGENVALUE_CLIP:
-            raise ValueError(f"ensemble weights and noise must be nonnegative (noise {noise:.3e})")
-        if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= NORM_TOL):
-            raise ValueError("ensemble rows must be normalized")
-        if not abs(w.sum() + noise - 1.0) <= TRACE_TOL:
-            raise ValueError(f"ensemble weights and noise must sum to 1 ({w.sum() + noise:.12f})")
-        object.__setattr__(self, "ens", Ensemble(w, rows, noise))
-
-    @property
-    def is_pure(self) -> bool:
-        return self.psi is not None
+        object.__setattr__(self, "ens", check_ensemble(self.ens))
 
     @property
     def dim(self) -> int:
-        return len(self.psi) if self.psi is not None else self.ens.rows.shape[1]
+        return self.ens.rows.shape[1]
 
     def density(self) -> np.ndarray:
         """The d x d matrix sum_k w_k |r_k><r_k| + noise * I/d, summed from
         the ensemble on each call, for the dense routines only (fidelity,
         qfi_fidelity); nothing on the bound-chain or training path reads it."""
-        w, rows, noise = self.ensemble()
+        w, rows, noise = self.ens
         rho = (rows.T * w) @ rows.conj()
         rho[np.diag_indices(self.dim)] += noise / self.dim
         return rho
-
-    def ensemble(self) -> Ensemble:
-        """This state as weighted pure rows plus white noise: a pure state's
-        one row of weight 1, or a mixed state's own ensemble."""
-        if self.ens is not None:
-            return self.ens
-        return white_noise_ensemble(self.psi)
 
 
 class Ensemble(NamedTuple):
@@ -129,24 +94,27 @@ def white_noise_ensemble(state) -> Ensemble:
     return Ensemble(weights[keep], es.vectors[:, keep].T, float(len(weights) * floor))
 
 
-def check_state(arr: np.ndarray) -> np.ndarray:
-    """arr itself if it is a state, else ValueError: a vector of unit norm to
-    NORM_TOL, or a matrix that is Hermitian to 1e-10 (white_noise_ensemble's
-    tolerance), of unit trace to TRACE_TOL, with no eigenvalue below
-    EIGENVALUE_CLIP."""
-    if arr.ndim == 1:
-        nrm = np.linalg.norm(arr)
-        if not abs(nrm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector must be normalized (norm {nrm:.12f})")
-        return arr
-    linalg.require_hermitian(arr, tol=1e-10)
-    tr = np.trace(arr).real
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace (got {tr:.12f})")
-    floor = np.linalg.eigvalsh(arr)[0]
-    if not floor >= EIGENVALUE_CLIP:
-        raise ValueError(f"negative eigenvalue beyond tolerance: {floor:.3e}")
-    return arr
+def check_ensemble(ens) -> Ensemble:
+    """ens with float weights, complex rows and a float noise if it is a
+    state, else ValueError: one unit row (to NORM_TOL) per weight in a 2-d
+    array, weights >= 0, noise no lower than d * EIGENVALUE_CLIP (the
+    rounding white_noise_ensemble lets through), and sum(weights) + noise = 1
+    (unit trace) to TRACE_TOL. asarray keeps the caller's arrays, so states
+    built from one array share it."""
+    w = np.asarray(ens.weights, dtype=float)
+    rows = np.asarray(ens.rows, dtype=complex)
+    noise = float(ens.noise)
+    if rows.ndim != 2 or w.shape != (len(rows),):
+        raise ValueError(f"ensemble has weights of shape {w.shape} for rows {rows.shape}")
+    if np.any(w < 0.0) or noise < rows.shape[1] * EIGENVALUE_CLIP:
+        raise ValueError(f"ensemble weights and noise must be nonnegative (noise {noise:.3e})")
+    # the remaining checks are written as "not <=" so that a NaN fails them too
+    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= NORM_TOL):
+        raise ValueError("ensemble rows must be normalized")
+    total = w.sum() + noise
+    if not abs(total - 1.0) <= TRACE_TOL:
+        raise ValueError(f"ensemble weights and noise must sum to 1, a unit trace ({total:.12f})")
+    return Ensemble(w, rows, noise)
 
 
 def ghz(n: int, sign: int = +1) -> np.ndarray:
@@ -170,12 +138,13 @@ def check_rank2(r: float, v1, v2) -> tuple[np.ndarray, np.ndarray]:
     v2 = np.asarray(v2, dtype=complex)
     if v1.shape != v2.shape or v1.ndim != 1:
         raise ValueError("v1 and v2 must be vectors of equal length")
+    # written as "not <=" so that a NaN fails too
     for name, v in (("v1", v1), ("v2", v2)):
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized (norm {nrm:.12f})")
     overlap = abs(np.vdot(v1, v2))
-    if overlap > NORM_TOL:
+    if not overlap <= NORM_TOL:
         raise ValueError(f"v1 and v2 must be orthogonal (|<v1|v2>| = {overlap:.3e})")
     return v1, v2
 

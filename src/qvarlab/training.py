@@ -18,14 +18,13 @@ run resumes from the state before the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .circuits import Circuit, apply_circuit, apply_circuit_trace, step_operator
 from .fisher import StateFamily
 from .observables import ensemble_outcomes, moments
-from .states import Ensemble, LabeledState
+from .states import LabeledState
 
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -58,16 +57,6 @@ class TrainSet:
     @property
     def dim(self) -> int:
         return self.items[0].dim
-
-    @cached_property
-    def ensembles(self) -> tuple[Ensemble, ...]:
-        """Every item as weighted pure rows plus white noise, computed once per set.
-
-        Each is the item's LabeledState.ensemble: a pure item's one row, or
-        a mixed item's own ensemble (a MixtureModel item's closed form, whose
-        rows every item of the set shares).
-        """
-        return tuple(it.ensemble() for it in self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -123,12 +112,12 @@ def make_trainset(family: StateFamily, count: int, lo: float, hi: float) -> Trai
 class _Engine:
     """Shared-state evaluator for one (circuit, m, trainset) triple.
 
-    Every item is written as weighted pure rows plus a white-noise weight
-    (TrainSet.ensembles, computed once per train set): a pure item is one row
-    of weight 1, a MixtureModel item two rows, and I/d none. Rows that several
-    items share, by their exact bytes, are kept once, so a mixture train set
-    of any size is two rows; pure items keep one row each, in order. The
-    distinct rows go through the circuit as one batch; item i's outcome
+    Every item is its ensemble, weighted pure rows plus a white-noise weight
+    (LabeledState.ens): a pure item is one row of weight 1, a MixtureModel
+    item two rows, and I/d none. Rows that several items share, by their
+    exact bytes, are kept once, so a mixture train set of any size is two
+    rows; pure items keep one row each, in order. The distinct rows go
+    through the circuit as one batch; item i's outcome
     distribution is mix[i] applied to their marginals plus its noise weight
     spread evenly over the outcomes, since U I U^dag = I. A Naimark-embedded
     mixture (cli._embed_item) shares its noise rows e_j x |0...0> the same
@@ -146,7 +135,7 @@ class _Engine:
         self.circuit = circuit
         self.m = m
         self.labels = trainset.labels
-        parts = trainset.ensembles
+        parts = [it.ens for it in trainset.items]
         # each distinct row (by its exact bytes) is evolved once, in order of
         # first occurrence; mix[i, u] is item i's total weight on row u
         unique = {}

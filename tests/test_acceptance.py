@@ -247,7 +247,7 @@ def test_criterion_6_ising_training_reproduction():
 def test_criterion_7_pure_state_observations():
     fam = FAMILY_BUILDERS["ising"](ExperimentConfig("ising", n=3))
     hs = np.linspace(0.05, 2.0, 20)
-    stack = np.stack([fam.state(h).psi for h in hs])
+    stack = np.stack([fam.state(h).ens.rows[0] for h in hs])
     svals = np.linalg.svd(stack, compute_uv=False)
     third_sv = svals[2]
     max_imag = np.abs(stack.imag).max()

@@ -249,13 +249,15 @@ def test_embed_item_appends_ancillas_in_zero(experiment, ma):
     item = fam.state(0.4)
     big = cli._embed_item(item, ma)
     assert big.label == item.label and big.dim == 4 * 2**ma
-    assert big.is_pure == item.is_pure
+    # a pure item (one row, no noise) stays pure
+    pure = len(item.ens.rows) == 1 and item.ens.noise == 0.0
+    assert (len(big.ens.rows) == 1 and big.ens.noise == 0.0) == pure
     want = np.kron(item.density(), _ancilla_zero(ma))
     assert np.abs(big.density() - want).max() < 1e-15
-    if big.is_pure:
-        # measuring the ancillas gives outcome 0 with certainty
-        p = ensemble_outcomes(big.psi[None, :], np.ones(1), 0.0, ma)
-        assert np.allclose(p, np.eye(2**ma)[0], rtol=0, atol=1e-15)
+    # measuring the ancillas of any row gives outcome 0 with certainty
+    rows = big.ens.rows
+    p = ensemble_outcomes(rows, np.eye(len(rows)), 0.0, ma)
+    assert np.allclose(p, np.eye(2**ma)[0], rtol=0, atol=1e-15)
 
 
 def test_naimark_mixture_items_share_their_noise_rows():
@@ -266,7 +268,7 @@ def test_naimark_mixture_items_share_their_noise_rows():
     for it in ts.items:
         want = np.kron(fam.state(it.label).density(), _ancilla_zero(1))
         assert np.abs(it.density() - want).max() < 1e-15
-        assert it.ensemble().noise == 0.0
+        assert it.ens.noise == 0.0
     circuit = hea(3, 2)
     engine = _Engine(circuit, 1, ts)
     assert engine.batch0.shape == (2 + 4, 8)

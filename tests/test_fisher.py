@@ -31,7 +31,7 @@ def _bloch_family(global_phase=False):
         psi = np.array([np.cos(a), np.sin(a)], dtype=complex)
         if global_phase:
             psi = np.exp(1j * a) * psi
-        return LabeledState(a, psi=psi)
+        return LabeledState(a, white_noise_ensemble(psi))
 
     return StateFamily(ev, (-1.0, 2.0))
 
@@ -57,7 +57,7 @@ def test_state_family_memoizes_pure_states_only():
 
     def ev(a):
         calls.append(a)
-        return LabeledState(a, psi=np.array([np.cos(a), np.sin(a)], dtype=complex))
+        return LabeledState(a, white_noise_ensemble(np.array([np.cos(a), np.sin(a)])))
 
     fam = StateFamily(ev, (-1.0, 2.0))
     first = fam.state(0.3)
@@ -77,7 +77,7 @@ def test_outcome_probs_input_forms():
     assert np.allclose(outcome_probs(Z_PROJ, psi), want, atol=1e-15)
     assert np.allclose(outcome_probs(Z_PROJ, np.outer(psi, psi)), want, atol=1e-15)
     assert np.allclose(
-        outcome_probs(Z_PROJ, LabeledState(0.1, psi=psi)), want, atol=1e-15
+        outcome_probs(Z_PROJ, LabeledState(0.1, white_noise_ensemble(psi))), want, atol=1e-15
     )
     spec = matrix(ParamObservable(qc.make_circuit(1, [], 0), 1, np.arange(2.0)), np.array([]))
     assert np.allclose(outcome_probs(spec, psi), want, atol=1e-15)
@@ -100,7 +100,8 @@ def test_outcome_probs_of_a_pure_state_keep_the_vector_einsum_bits():
         want = np.einsum("kij,i,j->k", spec.projectors, psi.conj(), psi).real
         want[np.abs(want) < 1e-14] = 0.0
         assert np.array_equal(outcome_probs(spec, psi), want)
-        assert np.array_equal(outcome_probs(spec, LabeledState(0.1, psi=psi)), want)
+        st = LabeledState(0.1, white_noise_ensemble(psi))
+        assert np.array_equal(outcome_probs(spec, st), want)
 
 
 def test_outcome_probs_of_an_ensemble_match_the_dense_trace():
@@ -108,7 +109,7 @@ def test_outcome_probs_of_an_ensemble_match_the_dense_trace():
     c = qc.hea(3, 2)
     spec = matrix(ParamObservable(c, 2, np.arange(4.0)), rng.uniform(0, 2 * np.pi, c.param_count))
     white = Ensemble(np.zeros(0), np.zeros((0, 8), dtype=complex), 1.0)
-    naimark = _embed_item(MixtureModel(2, 0.25).family().state(0.4), 1).ensemble()
+    naimark = _embed_item(MixtureModel(2, 0.25).family().state(0.4), 1).ens
     for ens in (_random_ensemble(rng, 8, 3, 0.3), white, naimark):
         st = LabeledState(0.4, ens=ens)
         want = np.einsum("kij,ji->k", spec.projectors, st.density()).real
@@ -227,7 +228,9 @@ def test_qfi_pure_removes_global_phase():
     plain = _span_qfi(_bloch_family(), 0.3)
     assert abs(_span_qfi(_bloch_family(global_phase=True), 0.3) - plain) < 1e-10
     # a pure global-phase path carries no information at all
-    phase = StateFamily(lambda a: LabeledState(a, psi=np.array([np.exp(1j * a), 0.0])), (-1, 1))
+    phase = StateFamily(
+        lambda a: LabeledState(a, white_noise_ensemble(np.array([np.exp(1j * a), 0.0]))), (-1, 1)
+    )
     assert abs(_span_qfi(phase, 0.3)) < 1e-14
 
 
@@ -261,7 +264,7 @@ def test_span_qfi_of_decomposed_pure_densities_matches_the_vectors(d):
     def psi(a):
         return np.cos(a) * u + np.exp(1j * a) * np.sin(a) * v
 
-    vec = StateFamily(lambda a: LabeledState(a, psi=psi(a)), (-1.0, 2.0))
+    vec = StateFamily(lambda a: LabeledState(a, white_noise_ensemble(psi(a))), (-1.0, 2.0))
     dense = StateFamily(
         lambda a: LabeledState(a, ens=white_noise_ensemble(np.outer(psi(a), psi(a).conj()))),
         (-1.0, 2.0),
@@ -269,7 +272,7 @@ def test_span_qfi_of_decomposed_pure_densities_matches_the_vectors(d):
     noises = []
     for a in np.linspace(0.1, 1.4, 14):
         stencil = fisher._stencil(dense, a)
-        noises += [st.ensemble().noise for st in stencil]
+        noises += [st.ens.noise for st in stencil]
         assert abs(fisher._family_qfi(stencil) / _span_qfi(vec, a) - 1.0) < 1e-7
     assert min(noises) < 0.0 and max(map(abs, noises)) < 1e-12
 
@@ -310,7 +313,7 @@ def test_qfi_fidelity_tracks_commuting_closed_form():
 def test_qfi_fidelity_warns_on_unstable_step():
     def ev(a):
         psi = np.array([1.0, 0.0]) if a < 0.5006 else np.array([0.0, 1.0])
-        return LabeledState(a, psi=psi.astype(complex))
+        return LabeledState(a, white_noise_ensemble(psi.astype(complex)))
 
     fam = StateFamily(ev, (0.0, 1.0))
     with pytest.warns(QfiStepWarning):
@@ -358,7 +361,8 @@ def test_bound_chain_and_cfi_read_one_three_state_stencil(pure):
     def ev(a):
         calls.append(a)
         if pure:
-            return LabeledState(a, psi=np.array([np.cos(a), np.sin(a)], dtype=complex))
+            psi = np.array([np.cos(a), np.sin(a)], dtype=complex)
+            return LabeledState(a, white_noise_ensemble(psi))
         return LabeledState(a, ens=white_noise_ensemble(np.diag([1.0 - 0.5 * a, 0.5 * a])))
 
     alpha, h = 0.3, fisher.PROB_STEP
@@ -374,7 +378,9 @@ def test_bound_chain_and_cfi_read_one_three_state_stencil(pure):
 def test_bound_chain_qfi_matches_exact_ising_linear_response(n):
     # I_q = 4 sum_{k>0} |<v_k|dH/dh|v_0>|^2 / (E_k - E_0)^2, with dH/dh exact
     # since ising(n, h) is affine in h
-    fam = StateFamily(lambda h: LabeledState(h, psi=ground_state(ising(n, h))), (0.0, 2.5))
+    fam = StateFamily(
+        lambda h: LabeledState(h, white_noise_ensemble(ground_state(ising(n, h)))), (0.0, 2.5)
+    )
     dh = ising(n, 1.0) - ising(n, 0.0)
     rng = np.random.default_rng(5)
     c = qc.hea(n, 1)

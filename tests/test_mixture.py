@@ -29,6 +29,8 @@ def test_model_validation():
         MixtureModel(2, 1.5)
     with pytest.raises(ValueError):
         MixtureModel(2, 0.5, v1=ghz(2), v2=ghz(2))  # not orthogonal
+    with pytest.raises(ValueError, match="normalized"):
+        MixtureModel(1, 0.5, v1=[np.nan, 0.0], v2=[0.0, 1.0])
     m = MixtureModel(3, 0.25)
     assert m.dim == 8
     assert np.allclose(m.v1, ghz(3, +1))
@@ -55,12 +57,12 @@ def test_family_states_carry_the_closed_form_ensemble():
         m = MixtureModel(3, r)
         fam = m.family()
         for a in (0.0, 0.25, 1.0):
-            ens = fam.state(a).ensemble()
+            ens = fam.state(a).ens
             assert ens.noise == 1.0 - a
             assert len(ens.rows) == len(ens.weights) == (0 if a == 0.0 else kept)
             assert abs(ens.weights.sum() - a) < 1e-15
         # every state's rows are the same bytes, row for row
-        assert fam.state(0.5).ensemble().rows.tobytes() == fam.state(0.9).ensemble().rows.tobytes()
+        assert fam.state(0.5).ens.rows.tobytes() == fam.state(0.9).ens.rows.tobytes()
 
 
 def test_eigenbasis_diagonalizes_rho1_descending():

@@ -80,7 +80,7 @@ def test_labeled_state_inputs():
     psi = ghz(2)
     obs = _identity_obs(2, 1)
     direct = probabilities(obs, np.array([]), psi)
-    tagged = probabilities(obs, np.array([]), LabeledState(0.3, psi=psi))
+    tagged = probabilities(obs, np.array([]), LabeledState(0.3, white_noise_ensemble(psi)))
     assert np.array_equal(direct, tagged)
     rho = np.outer(psi, psi.conj())
     tagged_rho = probabilities(obs, np.array([]), LabeledState(0.3, ens=white_noise_ensemble(rho)))

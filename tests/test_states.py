@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -51,20 +52,14 @@ def test_mixture_state_interpolates():
 
 def test_labeled_state_validation():
     psi = np.array([1.0, 0.0], dtype=complex)
-    st = states.LabeledState(label=0.3, psi=psi)
-    assert st.is_pure and st.dim == 2
+    st = states.LabeledState(label=0.3, ens=states.white_noise_ensemble(psi))
+    assert [f.name for f in dataclasses.fields(st)] == ["label", "ens"] and st.dim == 2
     assert np.allclose(st.density(), np.diag([1.0, 0.0]))
-    assert len(st.ensemble().rows) == 1 and st.ensemble().noise == 0.0
+    assert len(st.ens.rows) == 1 and st.ens.weights[0] == 1.0 and st.ens.noise == 0.0
     with pytest.raises(ValueError):
-        states.LabeledState(label=0.1, psi=2 * psi)
+        states.LabeledState(label=0.1, ens=states.white_noise_ensemble(2 * psi))
     with pytest.raises(ValueError, match="normalized"):
-        states.LabeledState(label=0.1, psi=np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError, match="exactly one"):
-        states.LabeledState(label=0.1)
-    with pytest.raises(ValueError, match="exactly one"):
-        states.LabeledState(
-            label=0.1, psi=psi, ens=states.Ensemble(np.ones(1), psi[None, :], 0.0)
-        )
+        states.LabeledState(label=0.1, ens=states.white_noise_ensemble(np.array([np.nan, 0.0])))
     with pytest.raises(TypeError):
         states.LabeledState(label=0.1, rho=np.diag([1.0, 0.0]))
 
@@ -73,9 +68,9 @@ def test_labeled_state_ensemble_is_validated():
     v = np.eye(4, dtype=complex)[[0, 3]]
     ens = states.Ensemble(np.array([0.375, 0.125]), v, 0.5)
     st = states.LabeledState(label=0.5, ens=ens)
-    assert not st.is_pure and st.dim == 4
+    assert st.dim == 4
     # the rows are kept as given, so states built from one array share it
-    assert st.ensemble().rows is v
+    assert st.ens.rows is v
     # weights and noise must sum to 1
     with pytest.raises(ValueError, match="sum to 1"):
         states.LabeledState(label=0.5, ens=states.Ensemble(np.array([0.375, 0.2]), v, 0.5))
@@ -91,7 +86,7 @@ def test_labeled_state_ensemble_is_validated():
         states.LabeledState(label=0.5, ens=states.Ensemble(np.ones(1), v[0], 0.0))
     # white noise alone: no rows at all
     white = states.LabeledState(label=0.0, ens=states.Ensemble(np.zeros(0), v[:0], 1.0))
-    assert len(white.ensemble().rows) == 0
+    assert len(white.ens.rows) == 0
     assert np.array_equal(white.density(), np.eye(4) / 4)
 
 
@@ -133,7 +128,7 @@ def test_density_sums_the_ensemble():
     st = states.LabeledState(label=0.2, ens=states.white_noise_ensemble(rho))
     assert np.abs(st.density() - rho).max() < 1e-14
     psi = g[0] / np.linalg.norm(g[0])
-    pure = states.LabeledState(label=0.2, psi=psi)
+    pure = states.LabeledState(label=0.2, ens=states.white_noise_ensemble(psi))
     assert np.abs(pure.density() - np.outer(psi, psi.conj())).max() < 1e-15
 
 
@@ -377,6 +372,15 @@ def test_ground_state_warns_on_a_plus_minus_k_degenerate_level(monkeypatch):
     # the lowest k of the even flip parity: T psi = exp(-2 pi i / 3) psi
     assert np.abs(t @ psi - np.exp(-2j * np.pi / 3) * psi).max() < 1e-12
     assert np.abs(psi - psi[::-1]).max() < 1e-15
+
+
+def test_nan_matrix_is_not_hermitian():
+    # a NaN defect used to pass "defect > tol", and ground_state returned [1, 0]
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        states.ground_state(bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.herm_eig(bad)
 
 
 def test_flip_symmetric_non_hermitian_matrix_raises():

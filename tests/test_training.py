@@ -22,8 +22,8 @@ from qvarlab.training import (
 
 BASIS_TS = TrainSet(
     items=(
-        LabeledState(0.0, psi=np.array([1.0, 0.0], dtype=complex)),
-        LabeledState(1.0, psi=np.array([0.0, 1.0], dtype=complex)),
+        LabeledState(0.0, white_noise_ensemble(np.array([1.0, 0.0], dtype=complex))),
+        LabeledState(1.0, white_noise_ensemble(np.array([0.0, 1.0], dtype=complex))),
     )
 )
 ID1 = qc.make_circuit(1, [], 0)
@@ -42,10 +42,10 @@ def test_make_trainset_labels_and_validation():
 
 
 def test_trainset_validation():
-    one = LabeledState(0.0, psi=np.array([1.0, 0.0], dtype=complex))
+    one = LabeledState(0.0, white_noise_ensemble(np.array([1.0, 0.0], dtype=complex)))
     with pytest.raises(ValueError):
         TrainSet(items=(one,))
-    other = LabeledState(1.0, psi=np.array([0, 0, 0, 1.0], dtype=complex))
+    other = LabeledState(1.0, white_noise_ensemble(np.array([0, 0, 0, 1.0], dtype=complex)))
     with pytest.raises(ValueError):
         TrainSet(items=(one, other))
 
@@ -75,8 +75,8 @@ def test_loss_frozen_deterministic_outcomes():
 
 
 def test_loss_frozen_superposition_variance():
-    plus = LabeledState(0.5, psi=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-    zero = LabeledState(0.0, psi=np.array([1.0, 0.0], dtype=complex))
+    plus = LabeledState(0.5, white_noise_ensemble(np.array([1.0, 1.0]) / np.sqrt(2)))
+    zero = LabeledState(0.0, white_noise_ensemble(np.array([1.0, 0.0], dtype=complex)))
     ts = TrainSet(items=(zero, plus))
     cfg = TrainConfig(w_ls=1.0, w_var=0.5)
     lam = np.array([0.25, 0.75])
@@ -102,22 +102,6 @@ def test_loss_matches_observable_route():
     assert abs(got - want) < 1e-12
 
 
-def test_trainset_ensembles_computed_once():
-    ts = make_trainset(MixtureModel(2, 0.25).family(), 4, 0.1, 0.9)
-    first = ts.ensembles
-    assert ts.ensembles is first
-    for it, ens in zip(ts.items, first):
-        want = it.ensemble()
-        assert np.array_equal(ens.rows, want.rows) and np.array_equal(ens.weights, want.weights)
-        assert ens.noise == want.noise
-    c = qc.hea(2, 1)
-    theta = np.linspace(0.1, 1.0, c.param_count)
-    lam = np.array([0.2, 0.8])
-    a = loss(lam, theta, ts, TrainConfig(), c, 1)
-    assert ts.ensembles is first
-    assert loss(lam, theta, ts, TrainConfig(), c, 1) == a
-
-
 def _random_orthonormal_pair(rng, d):
     g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
     q = np.linalg.qr(g)[0]
@@ -139,9 +123,11 @@ def test_pure_train_set_engine_rows_are_its_states():
     rng = np.random.default_rng(5)
     psis = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    ts = TrainSet(items=tuple(LabeledState(0.1 * k, psi=p) for k, p in enumerate(psis)))
+    ts = TrainSet(
+        items=tuple(LabeledState(0.1 * k, white_noise_ensemble(p)) for k, p in enumerate(psis))
+    )
     e = _Engine(qc.hea(4, 1), 2, ts)
-    assert e.batch0.tobytes() == np.stack([it.psi for it in ts.items]).tobytes()
+    assert e.batch0.tobytes() == psis.tobytes()
     assert np.array_equal(e.mix, np.eye(6))
     assert not e.noise.any()
 
@@ -158,7 +144,7 @@ def test_mixture_train_set_evolves_two_rows():
     assert e.batch0.shape == (2, 8)
     assert np.array_equal(e.batch0, np.stack([model.v1, model.v2]))
     # the alpha = 0 item is white noise: no rows, all weight on the noise
-    assert len(ts.items[0].ensemble().rows) == 0
+    assert len(ts.items[0].ens.rows) == 0
     assert not e.mix[0].any() and e.noise[0, 0] == 1.0
     for _ in range(3):
         theta = rng.uniform(0, 2 * np.pi, c.param_count)
@@ -225,7 +211,7 @@ def test_gradient_bitwise_matches_naive_probes():
     mixed_ts = make_trainset(fam, 3, 0.1, 0.9)
     pure_ts = TrainSet(
         items=tuple(
-            LabeledState(float(a), psi=np.array([np.cos(a), 0, 0, np.sin(a)], dtype=complex))
+            LabeledState(float(a), white_noise_ensemble(np.array([np.cos(a), 0, 0, np.sin(a)])))
             for a in (0.2, 0.7, 1.1)
         )
     )
@@ -249,7 +235,9 @@ def test_probs_shift_bitwise_matches_full_evaluation(circuit):
     d = 2**circuit.n
     rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    ts = TrainSet(items=tuple(LabeledState(float(k), psi=r) for k, r in enumerate(rows)))
+    ts = TrainSet(
+        items=tuple(LabeledState(float(k), white_noise_ensemble(r)) for k, r in enumerate(rows))
+    )
     engine = _Engine(circuit, 1, ts)
     fresh = _Engine(circuit, 1, ts)
     theta = rng.uniform(0, 2 * np.pi, circuit.param_count)
@@ -270,7 +258,8 @@ def test_engine_builds_no_matrix_for_a_diagonal_gate(monkeypatch):
     rng = np.random.default_rng(41)
     rows = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    engine = _Engine(c, 1, TrainSet(items=tuple(LabeledState(k, psi=r) for k, r in enumerate(rows))))
+    ts = TrainSet(tuple(LabeledState(k, white_noise_ensemble(r)) for k, r in enumerate(rows)))
+    engine = _Engine(c, 1, ts)
     engine.probs(rng.uniform(0, 2 * np.pi, c.param_count))
     assert len(built) == 25 and {g.name for g in built} == {"rx"}
     built.clear()
@@ -316,7 +305,7 @@ def test_pure_and_density_train_sets_agree_on_loss():
         v = rng.normal(size=256) + 1j * rng.normal(size=256)
         psis.append(v / np.linalg.norm(v))
     pure_ts = TrainSet(
-        items=tuple(LabeledState(0.3 * k, psi=p) for k, p in enumerate(psis))
+        items=tuple(LabeledState(0.3 * k, white_noise_ensemble(p)) for k, p in enumerate(psis))
     )
     dens_ts = TrainSet(
         items=tuple(
@@ -335,8 +324,8 @@ def test_pure_and_density_train_sets_agree_on_loss():
     psi2 /= np.linalg.norm(psi2)
     ts_p = TrainSet(
         items=(
-            LabeledState(0.0, psi=psi2),
-            LabeledState(1.0, psi=np.roll(psi2, 1)),
+            LabeledState(0.0, white_noise_ensemble(psi2)),
+            LabeledState(1.0, white_noise_ensemble(np.roll(psi2, 1))),
         )
     )
     ts_d = TrainSet(
