@@ -27,7 +27,7 @@ from .mixture import (
     variance_partial,
 )
 from .observables import ParamObservable, moments, probabilities
-from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ground_state, white_noise_ensemble
+from .states import ENSEMBLE_FLOOR, Ensemble, ground_state, white_noise_ensemble
 from .training import TrainConfig, TrainSet, make_trainset, train
 
 CSV_HEADER = "alpha,prediction,sq_error,variance,inv_cfi,inv_qfi,analytic_variance,flag"
@@ -69,12 +69,8 @@ class ExperimentConfig:
     out: str = "experiment"
 
 
-def _ground_family(hamiltonian_of_alpha, alpha_range: tuple[float, float]) -> StateFamily:
-    def ev(alpha: float) -> LabeledState:
-        psi = ground_state(hamiltonian_of_alpha(alpha))
-        return LabeledState(float(alpha), white_noise_ensemble(psi))
-
-    return StateFamily(evaluator=ev, alpha_range=alpha_range)
+def _ground_family(hamiltonian, alpha_range: tuple[float, float]) -> StateFamily:
+    return StateFamily(lambda a: white_noise_ensemble(ground_state(hamiltonian(a))), alpha_range)
 
 
 FAMILY_BUILDERS = {
@@ -96,23 +92,18 @@ ANSATZ_BUILDERS = {
 
 
 def _validate(config: ExperimentConfig) -> tuple[StateFamily, Circuit, TrainConfig]:
-    """Check every input and build what the run uses, before any work.
+    """Check every input and build what the run uses, before any training.
 
     The rules stated here are those no constructor owns; the family, the
     circuit on n + naimark qubits and the TrainConfig check their own inputs,
-    and a ValueError from any of them is a ConfigError.
+    and a ValueError from any of them is a ConfigError. A Hamiltonian family
+    builds its matrices lazily, so its size rule is checked by solving its
+    first training state here, which make_trainset reuses when it is pure.
     """
     if config.experiment not in FAMILY_BUILDERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     if config.ansatz not in ANSATZ_BUILDERS:
         raise ConfigError(f"unknown ansatz {config.ansatz!r}")
-    # the Hamiltonian families build their matrices lazily, so their n rules live here
-    if config.experiment == "ising" and config.n < 2:
-        raise ConfigError("ising needs n >= 2")
-    if config.experiment == "schwinger" and (config.n < 2 or config.n % 2):
-        raise ConfigError("schwinger needs even n >= 2")
-    if config.experiment == "cluster" and config.n < 3:
-        raise ConfigError("cluster needs n >= 3")
     if config.naimark < 0:
         raise ConfigError("naimark ancilla count must be nonnegative")
     # a Naimark run reads its ancillas instead; the analytic tables always use m
@@ -137,6 +128,7 @@ def _validate(config: ExperimentConfig) -> tuple[StateFamily, Circuit, TrainConf
         circuit = ANSATZ_BUILDERS[config.ansatz](config.n + config.naimark, config.layers)
         # every TrainConfig field has a same-named ExperimentConfig field
         tc = TrainConfig(**{f.name: getattr(config, f.name) for f in fields(TrainConfig)})
+        family.state(LABEL_RANGES[config.experiment][0])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return family, circuit, tc
@@ -252,10 +244,7 @@ def run(config: ExperimentConfig) -> list[str]:
         k = config.naimark
         if k:
             base = family
-            family = StateFamily(
-                evaluator=lambda a: _embed_item(base.state(a), k),
-                alpha_range=base.alpha_range,
-            )
+            family = StateFamily(lambda a: _embed(base.state(a).ens, k), base.alpha_range)
             # the embedding preserves the model, so the full-basis curve applies
             readouts = [(f"naimark{k}", k, _closed_form(config, config.n))]
         else:
@@ -279,25 +268,25 @@ def run(config: ExperimentConfig) -> list[str]:
     return written
 
 
-def _embed_item(item: LabeledState, ma: int) -> LabeledState:
-    """The item with ma fresh |0> ancillas appended at the least significant end.
+def _embed(ens: Ensemble, ma: int) -> Ensemble:
+    """The ensemble with ma fresh |0> ancillas appended at the least
+    significant end, for the Naimark family's evaluator.
 
-    One formula over item.ens: each row r becomes r x |0...0>, and the noise,
-    white on the data qubits only, becomes d rows e_j x |0...0> of weight
-    noise/d each (dropped at or below ENSEMBLE_FLOOR), with no noise left.
-    The e_j rows are the same bytes in every item, so the training engine
-    evolves them once per train set. A pure item is one row of weight 1 with
-    no noise, so it stays pure.
+    Each row r becomes r x |0...0>, and the noise, white on the d data
+    dimensions only, becomes d rows e_j x |0...0> of weight noise/d each
+    (dropped at or below ENSEMBLE_FLOOR), with no noise left. The e_j rows
+    are the same bytes in every state, so the training engine evolves them
+    once per train set. A pure state is one row of weight 1 with no noise,
+    so it stays pure.
     """
-    ens = item.ens
-    d = item.dim
+    d = ens.rows.shape[1]
     rows, weights = ens.rows, ens.weights
     if ens.noise / d > ENSEMBLE_FLOOR:
         rows = np.concatenate([rows, np.eye(d, dtype=complex)])
         weights = np.concatenate([weights, np.full(d, ens.noise / d)])
     embedded = np.zeros((len(rows), d, 2**ma), dtype=complex)
     embedded[:, :, 0] = rows
-    return LabeledState(item.label, Ensemble(weights, embedded.reshape(len(rows), -1), 0.0))
+    return Ensemble(weights, embedded.reshape(len(rows), -1), 0.0)
 
 
 def _parse_m(text: str) -> tuple[int, ...]:

@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .observables import ParamObservable, SpectralObservable, as_ensemble, matrix, moments
-from .states import LabeledState, fidelity
+from .observables import PROB_CLAMP, ParamObservable, SpectralObservable, as_ensemble
+from .observables import matrix, moments
+from .states import Ensemble, LabeledState, fidelity
 
 PROB_STEP = 1e-4
 PROB_FLOOR = 1e-12
@@ -44,16 +45,19 @@ class ChainViolationError(RuntimeError):
 class StateFamily:
     """A differentiable path alpha -> state over a validity interval.
 
-    Pure states (one row, no noise) are memoized per alpha on the family
-    object, so a grid point that training, the bound-chain stencil (alpha,
-    alpha +- PROB_STEP) and the CSV rows all visit costs one evaluation (one
+    evaluator maps a label to the state's Ensemble, and state(alpha) labels
+    it: LabeledState(float(alpha), ens) is built here and nowhere else, so a
+    family state's label is its alpha. Pure states (one row, no noise) are
+    memoized per alpha on the family object, so a grid point that
+    validation, training, the bound-chain stencil (alpha, alpha +-
+    PROB_STEP) and the CSV rows all visit costs one evaluation (one
     ground-state solve for the spin-chain families). Mixed states, even of
     one row, are not kept: a Naimark-embedded mixed state carries d + 2 rows
     of its own, so a kept grid would hold hundreds of MB at n=8, while the
     mixture's closed form is cheap to redo.
     """
 
-    evaluator: Callable[[float], LabeledState]
+    evaluator: Callable[[float], Ensemble]
     alpha_range: tuple[float, float]
     _pure: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -63,7 +67,7 @@ class StateFamily:
             raise ValueError(f"alpha={alpha} outside family range [{lo}, {hi}]")
         st = self._pure.get(alpha)
         if st is None:
-            st = self.evaluator(alpha)
+            st = LabeledState(float(alpha), self.evaluator(alpha))
             if len(st.ens.rows) == 1 and st.ens.noise == 0.0:
                 self._pure[alpha] = st
         return st
@@ -87,7 +91,7 @@ class FisherReport:
 
 def outcome_probs(projectors, state) -> np.ndarray:
     """Probabilities Tr(P_k rho) = noise Tr(P_k)/d + sum_r w_r <r|P_k|r> for a
-    stack of projectors, clamped to zero below 1e-14. One row (every pure
+    stack of projectors, clamped to zero below PROB_CLAMP. One row (every pure
     state) keeps the bits of einsum("kij,i,j->k"); several rows take one
     batched BLAS matmul P_k @ rows^T, not one naive einsum pass per row."""
     if isinstance(projectors, SpectralObservable):
@@ -99,7 +103,7 @@ def outcome_probs(projectors, state) -> np.ndarray:
         p += w[0] * np.einsum("kij,i,j->k", proj, rows[0].conj(), rows[0]).real
     else:
         p += np.einsum("kir,ri->kr", proj @ rows.T, rows.conj()).real @ w
-    p[np.abs(p) < 1e-14] = 0.0
+    p[np.abs(p) < PROB_CLAMP] = 0.0
     return p
 
 

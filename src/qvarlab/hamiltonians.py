@@ -106,7 +106,7 @@ def ising(n: int, h: float) -> np.ndarray:
     coupling there is effectively doubled.
     """
     if n < 2:
-        raise ValueError("need at least two qubits")
+        raise ValueError("ising needs n >= 2")
     terms = []
     for i in range(1, n + 1):
         j = i % n + 1
@@ -130,7 +130,7 @@ def schwinger(n: int, mu: float, w: float = 1.0, g: float = 1.0) -> np.ndarray:
     changes smoothly across mu without a sharp critical feature.
     """
     if n < 2 or n % 2:
-        raise ValueError("chain length must be even and at least 2")
+        raise ValueError("schwinger needs even n >= 2")
     terms = []
     for j in range(1, n):
         terms.append(PauliString(n, {j: "X", j + 1: "X"}, coeff=w))
@@ -151,7 +151,7 @@ def cluster(n: int, x: float, eps: float = 1e-2) -> np.ndarray:
     the three-body stabilizer terms dominate.
     """
     if n < 3:
-        raise ValueError("need at least three qubits")
+        raise ValueError("cluster needs n >= 3")
     cx = np.cos(np.pi * x / 2.0)
     sx = np.sin(np.pi * x / 2.0)
     terms = []

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .fisher import StateFamily, fisher_information, outcome_probs
 from .observables import SpectralObservable
-from .states import ENSEMBLE_FLOOR, Ensemble, LabeledState, ghz, mixture_state
+from .states import ENSEMBLE_FLOOR, Ensemble, ghz, mixture_state
 from .states import check_rank2, rank2_state
 
 EIG_FLOOR = 1e-15
@@ -77,10 +77,7 @@ class MixtureModel:
         return np.stack([self.v1, self.v2])
 
     def family(self) -> StateFamily:
-        return StateFamily(
-            evaluator=lambda a: LabeledState(label=float(a), ens=self.ensemble(a)),
-            alpha_range=(0.0, 1.0),
-        )
+        return StateFamily(self.ensemble, (0.0, 1.0))
 
     def eigenbasis(self) -> np.ndarray:
         """Orthonormal columns: eigenvectors of rho1 in descending eigenvalue

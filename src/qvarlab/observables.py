@@ -46,6 +46,8 @@ class ParamObservable:
             raise ValueError(
                 f"lambdas must have length {2**self.m}, got shape {lam.shape}"
             )
+        if not np.all(np.isfinite(lam)):
+            raise ValueError(f"lambdas must be finite, got {lam}")
         object.__setattr__(self, "lambdas", lam)
 
     @property

@@ -37,15 +37,17 @@ class DegenerateGroundSpaceWarning(UserWarning):
 class LabeledState:
     """A quantum state, as its ensemble, tagged with the real label it encodes.
 
-    ens is checked at construction (check_ensemble). A pure state is
-    LabeledState(label, white_noise_ensemble(psi)): one row of weight 1 with
-    no noise.
+    The label must be finite, and ens is checked at construction
+    (check_ensemble). A pure state is LabeledState(label,
+    white_noise_ensemble(psi)): one row of weight 1 with no noise.
     """
 
     label: float
     ens: Ensemble = field(repr=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.label):
+            raise ValueError(f"label must be finite, got {self.label}")
         object.__setattr__(self, "ens", check_ensemble(self.ens))
 
     @property
@@ -173,11 +175,6 @@ def _sqrt_spectrum(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(values, 0.0, None))
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    es = linalg.herm_eig(linalg.hermitianize(rho), tol=1e-10)
-    return (es.vectors * _sqrt_spectrum(es.values)) @ es.vectors.conj().T
-
-
 def fidelity(rho: np.ndarray, tau: np.ndarray) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) tau sqrt(rho)).
 
@@ -188,7 +185,7 @@ def fidelity(rho: np.ndarray, tau: np.ndarray) -> float:
     tau = linalg.as_matrix(tau)
     if rho.shape != tau.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
-    s = _psd_sqrt(rho)
+    s = linalg.herm_fn(linalg.hermitianize(rho), _sqrt_spectrum)
     inner = linalg.hermitianize(s @ linalg.hermitianize(tau) @ s)
     return float(np.sum(_sqrt_spectrum(np.linalg.eigvalsh(inner))))
 

@@ -112,19 +112,18 @@ def make_trainset(family: StateFamily, count: int, lo: float, hi: float) -> Trai
 class _Engine:
     """Shared-state evaluator for one (circuit, m, trainset) triple.
 
-    Every item is its ensemble, weighted pure rows plus a white-noise weight
-    (LabeledState.ens): a pure item is one row of weight 1, a MixtureModel
+    Every item is its ensemble (LabeledState.ens), weighted pure rows plus a
+    white-noise weight: a pure item is one row of weight 1, a MixtureModel
     item two rows, and I/d none. Rows that several items share, by their
     exact bytes, are kept once, so a mixture train set of any size is two
-    rows; pure items keep one row each, in order. The distinct rows go
-    through the circuit as one batch; item i's outcome
-    distribution is mix[i] applied to their marginals plus its noise weight
-    spread evenly over the outcomes, since U I U^dag = I. A Naimark-embedded
-    mixture (cli._embed_item) shares its noise rows e_j x |0...0> the same
-    way. The per-gate snapshot trace and the step operators of the last full
-    evaluation are kept, keyed by theta, so that finite-difference probes
-    resume from the first gate an angle touches and rebuild only the
-    operators of the steps that read it.
+    rows, and a Naimark-embedded mixture (cli._embed) adds its d noise rows
+    e_j x |0...0> once; pure items keep one row each, in order. The distinct
+    rows go through the circuit as one batch; item i's outcome distribution
+    is mix[i] applied to their marginals plus its noise weight spread evenly
+    over the outcomes, since U I U^dag = I. The per-gate snapshot trace and
+    the step operators of the last full evaluation are kept, keyed by theta,
+    so that finite-difference probes resume from the first gate an angle
+    touches and rebuild only the operators of the steps that read it.
     """
 
     def __init__(self, circuit: Circuit, m: int, trainset: TrainSet):

@@ -13,7 +13,7 @@ from qvarlab.cli import CSV_HEADER, ConfigError, ExperimentConfig, main, run
 from qvarlab.circuits import apply_circuit, hea
 from qvarlab.mixture import qfi_commuting, variance_full, variance_partial
 from qvarlab.observables import ensemble_outcomes
-from qvarlab.states import white_noise_ensemble
+from qvarlab.states import LabeledState, white_noise_ensemble
 from qvarlab.training import TrainSet, _Engine
 
 
@@ -118,6 +118,9 @@ def test_exit_code_one_on_config_errors(tmp_path):
     assert main(["warp", "--out", out]) == 1
     assert main(["analytic", "--n", "2", "--m", "7", "--out", out]) == 1
     assert main(["analytic", "--n", "2", "--m", "banana", "--out", out]) == 1
+    # Hamiltonian builders' own n rules, met by solving the first training state
+    assert main(["ising", "--n", "1", "--out", out]) == 1
+    assert main(["cluster", "--n", "2", "--out", out]) == 1
     assert main(["schwinger", "--n", "3", "--out", out]) == 1
     assert main(["--out", out]) == 1  # no experiment anywhere
     assert main(["analytic", "--train-points", "1", "--out", out]) == 1
@@ -247,7 +250,7 @@ def test_embed_item_appends_ancillas_in_zero(experiment, ma):
     # ancillas at the least significant end
     fam = cli.FAMILY_BUILDERS[experiment](ExperimentConfig(experiment, n=2))
     item = fam.state(0.4)
-    big = cli._embed_item(item, ma)
+    big = LabeledState(item.label, cli._embed(item.ens, ma))
     assert big.label == item.label and big.dim == 4 * 2**ma
     # a pure item (one row, no noise) stays pure
     pure = len(item.ens.rows) == 1 and item.ens.noise == 0.0
@@ -264,7 +267,8 @@ def test_naimark_mixture_items_share_their_noise_rows():
     # the embedded noise is d rows e_j x |0>, the same bytes in every item,
     # so the engine evolves 2 signal rows plus d noise rows for the whole set
     fam = cli.FAMILY_BUILDERS["mixture"](ExperimentConfig("mixture", n=2))
-    ts = TrainSet(items=tuple(cli._embed_item(fam.state(a), 1) for a in (0.0, 0.4, 0.7, 1.0)))
+    labels = (0.0, 0.4, 0.7, 1.0)
+    ts = TrainSet(tuple(LabeledState(a, cli._embed(fam.state(a).ens, 1)) for a in labels))
     for it in ts.items:
         want = np.kron(fam.state(it.label).density(), _ancilla_zero(1))
         assert np.abs(it.density() - want).max() < 1e-15
@@ -395,6 +399,8 @@ def test_family_ranges_cover_the_label_windows():
     assert set(cli.LABEL_RANGES) == set(cli.FAMILY_BUILDERS)
     for name, (lo, hi) in cli.LABEL_RANGES.items():
         family = cli.FAMILY_BUILDERS[name](ExperimentConfig(name, n=4))
+        # the family labels its own states; _validate solves this one first
+        assert family.state(lo).label == lo
         if name in ("mixture", "analytic"):
             # the mixture is defined on [0, 1] only; its edges are boundary rows
             assert family.alpha_range == (lo, hi)

@@ -3,7 +3,7 @@ import pytest
 
 from qvarlab import circuits as qc
 from qvarlab import fisher
-from qvarlab.cli import _embed_item
+from qvarlab.cli import _embed
 from qvarlab.fisher import (
     ChainViolationError,
     FisherReport,
@@ -31,14 +31,14 @@ def _bloch_family(global_phase=False):
         psi = np.array([np.cos(a), np.sin(a)], dtype=complex)
         if global_phase:
             psi = np.exp(1j * a) * psi
-        return LabeledState(a, white_noise_ensemble(psi))
+        return white_noise_ensemble(psi)
 
     return StateFamily(ev, (-1.0, 2.0))
 
 
 def _diag_family(g):
     def ev(a):
-        return LabeledState(a, ens=white_noise_ensemble(np.diag([1.0 - g(a), g(a)])))
+        return white_noise_ensemble(np.diag([1.0 - g(a), g(a)]))
 
     return StateFamily(ev, (-1.0, 2.0))
 
@@ -57,7 +57,7 @@ def test_state_family_memoizes_pure_states_only():
 
     def ev(a):
         calls.append(a)
-        return LabeledState(a, white_noise_ensemble(np.array([np.cos(a), np.sin(a)])))
+        return white_noise_ensemble(np.array([np.cos(a), np.sin(a)]))
 
     fam = StateFamily(ev, (-1.0, 2.0))
     first = fam.state(0.3)
@@ -109,7 +109,7 @@ def test_outcome_probs_of_an_ensemble_match_the_dense_trace():
     c = qc.hea(3, 2)
     spec = matrix(ParamObservable(c, 2, np.arange(4.0)), rng.uniform(0, 2 * np.pi, c.param_count))
     white = Ensemble(np.zeros(0), np.zeros((0, 8), dtype=complex), 1.0)
-    naimark = _embed_item(MixtureModel(2, 0.25).family().state(0.4), 1).ens
+    naimark = _embed(MixtureModel(2, 0.25).family().state(0.4).ens, 1)
     for ens in (_random_ensemble(rng, 8, 3, 0.3), white, naimark):
         st = LabeledState(0.4, ens=ens)
         want = np.einsum("kij,ji->k", spec.projectors, st.density()).real
@@ -190,7 +190,7 @@ def test_span_qfi_matches_dense_qfi_spectral(d):
             rows = np.cos(a) * e0.rows + np.sin(a) * e1.rows
             rows /= np.linalg.norm(rows, axis=1)[:, None]
             w = (1.0 - a) * e0.weights + a * e1.weights
-            return LabeledState(a, ens=Ensemble(w, rows, (1.0 - a) * e0.noise + a * e1.noise))
+            return Ensemble(w, rows, (1.0 - a) * e0.noise + a * e1.noise)
 
         fam = StateFamily(ev, (0.0, 1.0))
         for a in (0.2, 0.6):
@@ -206,15 +206,15 @@ def test_span_qfi_at_a_centre_with_no_rows():
 
     def ev(a):
         if a == 0.0:
-            return LabeledState(a, ens=Ensemble(np.zeros(0), eye[:0], 1.0))
-        return LabeledState(a, ens=Ensemble(np.array([abs(a)]), eye[[int(a < 0)]], 1.0 - abs(a)))
+            return Ensemble(np.zeros(0), eye[:0], 1.0)
+        return Ensemble(np.array([abs(a)]), eye[[int(a < 0)]], 1.0 - abs(a))
 
     stencil = fisher._stencil(StateFamily(ev, (-1.0, 1.0)), 0.0)
     want = qfi_spectral(np.eye(4) / 4, fisher._slope(LabeledState.density, stencil))
     assert abs(want - 2.0) < 1e-9
     assert abs(fisher._family_qfi(stencil) - want) < 1e-12
     # white noise at every stencil point: no rows anywhere, no information
-    flat = StateFamily(lambda a: LabeledState(a, ens=Ensemble(np.zeros(0), eye[:0], 1.0)), (-1, 1))
+    flat = StateFamily(lambda a: Ensemble(np.zeros(0), eye[:0], 1.0), (-1, 1))
     assert _span_qfi(flat, 0.0) == 0.0
 
 
@@ -228,9 +228,7 @@ def test_qfi_pure_removes_global_phase():
     plain = _span_qfi(_bloch_family(), 0.3)
     assert abs(_span_qfi(_bloch_family(global_phase=True), 0.3) - plain) < 1e-10
     # a pure global-phase path carries no information at all
-    phase = StateFamily(
-        lambda a: LabeledState(a, white_noise_ensemble(np.array([np.exp(1j * a), 0.0]))), (-1, 1)
-    )
+    phase = StateFamily(lambda a: white_noise_ensemble(np.array([np.exp(1j * a), 0.0])), (-1, 1))
     assert abs(_span_qfi(phase, 0.3)) < 1e-14
 
 
@@ -242,7 +240,7 @@ def test_span_qfi_diverges_where_the_noise_weight_leaves_zero():
 
     def ev(a):
         b = max(a, 0.0)
-        return LabeledState(a, ens=Ensemble(np.array([1.0 - b]), eye[:1], b))
+        return Ensemble(np.array([1.0 - b]), eye[:1], b)
 
     fam = StateFamily(ev, (-1.0, 1.0))
     assert _span_qfi(fam, 0.0) == float("inf")
@@ -264,10 +262,9 @@ def test_span_qfi_of_decomposed_pure_densities_matches_the_vectors(d):
     def psi(a):
         return np.cos(a) * u + np.exp(1j * a) * np.sin(a) * v
 
-    vec = StateFamily(lambda a: LabeledState(a, white_noise_ensemble(psi(a))), (-1.0, 2.0))
+    vec = StateFamily(lambda a: white_noise_ensemble(psi(a)), (-1.0, 2.0))
     dense = StateFamily(
-        lambda a: LabeledState(a, ens=white_noise_ensemble(np.outer(psi(a), psi(a).conj()))),
-        (-1.0, 2.0),
+        lambda a: white_noise_ensemble(np.outer(psi(a), psi(a).conj())), (-1.0, 2.0)
     )
     noises = []
     for a in np.linspace(0.1, 1.4, 14):
@@ -313,7 +310,7 @@ def test_qfi_fidelity_tracks_commuting_closed_form():
 def test_qfi_fidelity_warns_on_unstable_step():
     def ev(a):
         psi = np.array([1.0, 0.0]) if a < 0.5006 else np.array([0.0, 1.0])
-        return LabeledState(a, white_noise_ensemble(psi.astype(complex)))
+        return white_noise_ensemble(psi.astype(complex))
 
     fam = StateFamily(ev, (0.0, 1.0))
     with pytest.warns(QfiStepWarning):
@@ -362,8 +359,8 @@ def test_bound_chain_and_cfi_read_one_three_state_stencil(pure):
         calls.append(a)
         if pure:
             psi = np.array([np.cos(a), np.sin(a)], dtype=complex)
-            return LabeledState(a, white_noise_ensemble(psi))
-        return LabeledState(a, ens=white_noise_ensemble(np.diag([1.0 - 0.5 * a, 0.5 * a])))
+            return white_noise_ensemble(psi)
+        return white_noise_ensemble(np.diag([1.0 - 0.5 * a, 0.5 * a]))
 
     alpha, h = 0.3, fisher.PROB_STEP
     obs = ParamObservable(qc.make_circuit(1, [], 0), 1, np.array([0.0, 1.0]))
@@ -378,9 +375,7 @@ def test_bound_chain_and_cfi_read_one_three_state_stencil(pure):
 def test_bound_chain_qfi_matches_exact_ising_linear_response(n):
     # I_q = 4 sum_{k>0} |<v_k|dH/dh|v_0>|^2 / (E_k - E_0)^2, with dH/dh exact
     # since ising(n, h) is affine in h
-    fam = StateFamily(
-        lambda h: LabeledState(h, white_noise_ensemble(ground_state(ising(n, h)))), (0.0, 2.5)
-    )
+    fam = StateFamily(lambda h: white_noise_ensemble(ground_state(ising(n, h))), (0.0, 2.5))
     dh = ising(n, 1.0) - ising(n, 0.0)
     rng = np.random.default_rng(5)
     c = qc.hea(n, 1)

@@ -34,6 +34,10 @@ def test_param_observable_validation():
         ParamObservable(c, 3, np.ones(8))
     with pytest.raises(ValueError):
         ParamObservable(c, 2, np.ones(3))
+    # a non-finite eigenvalue would turn every variance into NaN, unflagged
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ParamObservable(c, 1, np.array([bad, 0.0]))
     ok = ParamObservable(c, 2, np.ones(4))
     assert ok.n == 2
     assert ok.outcomes == 4

@@ -62,6 +62,10 @@ def test_labeled_state_validation():
         states.LabeledState(label=0.1, ens=states.white_noise_ensemble(np.array([np.nan, 0.0])))
     with pytest.raises(TypeError):
         states.LabeledState(label=0.1, rho=np.diag([1.0, 0.0]))
+    # a non-finite label would only fail in the joint fit, after the warmup
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            states.LabeledState(label=bad, ens=states.white_noise_ensemble(psi))
 
 
 def test_labeled_state_ensemble_is_validated():
