@@ -129,19 +129,19 @@ def _stencil(family: StateFamily, alpha: float) -> tuple[LabeledState, ...]:
     return tuple(family.state(a) for a in (alpha - PROB_STEP, alpha, alpha + PROB_STEP))
 
 
-def _slope(of_state: Callable, stencil: Sequence[LabeledState]) -> np.ndarray:
-    """Central FD in alpha, step PROB_STEP, of of_state over the stencil."""
-    lo, _, hi = stencil
-    return (of_state(hi) - of_state(lo)) / (2.0 * PROB_STEP)
+def _slope(values: Sequence):
+    """Central FD in alpha, step PROB_STEP, of a quantity's values at the
+    stencil's three labels (alpha - PROB_STEP, alpha, alpha + PROB_STEP)."""
+    lo, _, hi = values
+    return (hi - lo) / (2.0 * PROB_STEP)
 
 
 def cfi(family: StateFamily, projectors, alpha: float) -> float:
     """Classical Fisher information sum_i (d_alpha p_i)^2 / p_i by central FD
     with step PROB_STEP; see fisher_information for vanishing outcomes.
     """
-    probs = partial(outcome_probs, projectors)
-    stencil = _stencil(family, alpha)
-    return fisher_information(probs(stencil[1]), _slope(probs, stencil))
+    ps = [outcome_probs(projectors, st) for st in _stencil(family, alpha)]
+    return fisher_information(ps[1], _slope(ps))
 
 
 def cfi_mixture_closed(alpha: float, p1, p2) -> float:
@@ -214,8 +214,11 @@ def _family_qfi(stencil: Sequence[LabeledState]) -> float:
         rho[np.diag_indices(k)] += e.noise / d
         return rho
 
-    iq = qfi_spectral(compressed(mid), _slope(compressed, ens)) if k else 0.0
-    dnoise = _slope(lambda e: e.noise, ens)
+    iq = 0.0
+    if k:
+        rhos = [compressed(e) for e in ens]
+        iq = qfi_spectral(rhos[1], _slope(rhos))
+    dnoise = _slope([e.noise for e in ens])
     if k < d and abs(dnoise) >= DPROB_TOL:
         iq += (d - k) * dnoise**2 / (d * mid.noise) if mid.noise > 0 else float("inf")
     return iq
@@ -237,61 +240,71 @@ def bound_chain(
     information raises the ValueError of cfi. With on_violation="flag" both
     mark the report's flag instead; a divergent point reports inv_cfi = 0.0
     under a cfi-divergent flag and skips the ordering check.
+
+    Each point's three states are fetched on the calling thread; their three
+    outcome_probs calls run concurrently on a pool of three threads, made
+    per call and shut down on any exception. einsum and BLAS release the
+    GIL, and each worker runs the unchanged single-state call, so the bits
+    depend on neither the scheduling nor the thread count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off `import qvarlab`
+
     if on_violation not in ("raise", "flag"):
         raise ValueError("on_violation must be 'raise' or 'flag'")
     spec_obs = matrix(obs, theta)
     lam = spec_obs.lambdas
     probs = partial(outcome_probs, spec_obs)
     reports = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        if not family.contains_stencil(alpha):
-            raise ValueError(
-                f"alpha={alpha} too close to the family range boundary for "
-                f"step {PROB_STEP}"
+    with ThreadPoolExecutor(3) as pool:
+        for alpha in alphas:
+            alpha = float(alpha)
+            if not family.contains_stencil(alpha):
+                raise ValueError(
+                    f"alpha={alpha} too close to the family range boundary for "
+                    f"step {PROB_STEP}"
+                )
+            flags = []
+            # one caller for the family memo, LAPACK and the benchmark tracer
+            stencil = _stencil(family, alpha)
+            ps = list(pool.map(probs, stencil))
+            p0, dp = ps[1], _slope(ps)
+
+            var = float(moments(p0, lam)[1])
+            slope = float(dp @ lam)
+            if abs(slope) < SLOPE_FLOOR:
+                adjusted = float("inf")
+                flags.append("zero-slope")
+            else:
+                adjusted = var / slope**2
+
+            try:
+                ic = fisher_information(p0, dp)
+            except ValueError:
+                if on_violation == "raise":
+                    raise
+                ic = float("inf")
+                flags.append("cfi-divergent")
+            inv_cfi = 1.0 / ic if ic > 1e-300 else float("inf")
+            iq = _family_qfi(stencil)
+            inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
+
+            out_of_order = (adjusted < inv_cfi - CHAIN_TOL) or (inv_cfi < inv_qfi - CHAIN_TOL)
+            if out_of_order and "cfi-divergent" not in flags:
+                msg = (
+                    f"bound chain violated at alpha={alpha}: adjusted={adjusted:.9g}, "
+                    f"1/I_c={inv_cfi:.9g}, 1/I_q={inv_qfi:.9g}"
+                )
+                if on_violation == "raise":
+                    raise ChainViolationError(msg)
+                flags.append("chain-violation")
+
+            reports.append(
+                FisherReport(
+                    alpha=alpha,
+                    adjusted_variance=adjusted,
+                    inv_cfi=inv_cfi,
+                    inv_qfi=inv_qfi,
+                    flag=",".join(flags),
+                )
             )
-        flags = []
-        stencil = _stencil(family, alpha)
-        p0 = probs(stencil[1])
-        dp = _slope(probs, stencil)
-
-        var = float(moments(p0, lam)[1])
-        slope = float(dp @ lam)
-        if abs(slope) < SLOPE_FLOOR:
-            adjusted = float("inf")
-            flags.append("zero-slope")
-        else:
-            adjusted = var / slope**2
-
-        try:
-            ic = fisher_information(p0, dp)
-        except ValueError:
-            if on_violation == "raise":
-                raise
-            ic = float("inf")
-            flags.append("cfi-divergent")
-        inv_cfi = 1.0 / ic if ic > 1e-300 else float("inf")
-        iq = _family_qfi(stencil)
-        inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
-
-        out_of_order = (adjusted < inv_cfi - CHAIN_TOL) or (inv_cfi < inv_qfi - CHAIN_TOL)
-        if out_of_order and "cfi-divergent" not in flags:
-            msg = (
-                f"bound chain violated at alpha={alpha}: adjusted={adjusted:.9g}, "
-                f"1/I_c={inv_cfi:.9g}, 1/I_q={inv_qfi:.9g}"
-            )
-            if on_violation == "raise":
-                raise ChainViolationError(msg)
-            flags.append("chain-violation")
-
-        reports.append(
-            FisherReport(
-                alpha=alpha,
-                adjusted_variance=adjusted,
-                inv_cfi=inv_cfi,
-                inv_qfi=inv_qfi,
-                flag=",".join(flags),
-            )
-        )
     return reports

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from qvarlab.fisher import (
 from qvarlab.hamiltonians import ising
 from qvarlab.linalg import herm_eig
 from qvarlab.mixture import MixtureModel, optimal_observable_matrix, qfi_commuting
-from qvarlab.observables import ParamObservable, matrix
+from qvarlab.observables import ParamObservable, matrix, moments
 from qvarlab.states import Ensemble, LabeledState, ground_state, white_noise_ensemble
 
 Z_PROJ = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -195,7 +197,8 @@ def test_span_qfi_matches_dense_qfi_spectral(d):
         fam = StateFamily(ev, (0.0, 1.0))
         for a in (0.2, 0.6):
             stencil = fisher._stencil(fam, a)
-            want = qfi_spectral(stencil[1].density(), fisher._slope(LabeledState.density, stencil))
+            rhos = [st.density() for st in stencil]
+            want = qfi_spectral(rhos[1], fisher._slope(rhos))
             assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-10
 
 
@@ -210,7 +213,7 @@ def test_span_qfi_at_a_centre_with_no_rows():
         return Ensemble(np.array([abs(a)]), eye[[int(a < 0)]], 1.0 - abs(a))
 
     stencil = fisher._stencil(StateFamily(ev, (-1.0, 1.0)), 0.0)
-    want = qfi_spectral(np.eye(4) / 4, fisher._slope(LabeledState.density, stencil))
+    want = qfi_spectral(np.eye(4) / 4, fisher._slope([st.density() for st in stencil]))
     assert abs(want - 2.0) < 1e-9
     assert abs(fisher._family_qfi(stencil) - want) < 1e-12
     # white noise at every stencil point: no rows anywhere, no information
@@ -245,7 +248,7 @@ def test_span_qfi_diverges_where_the_noise_weight_leaves_zero():
     fam = StateFamily(ev, (-1.0, 1.0))
     assert _span_qfi(fam, 0.0) == float("inf")
     stencil = fisher._stencil(fam, 0.5)
-    want = qfi_spectral(stencil[1].density(), fisher._slope(LabeledState.density, stencil))
+    want = qfi_spectral(stencil[1].density(), fisher._slope([st.density() for st in stencil]))
     assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-12
 
 
@@ -431,6 +434,74 @@ def test_bound_chain_flags_divergent_cfi():
     assert rep.flag == "cfi-divergent"
     assert rep.inv_cfi == 0.0
     assert rep.inv_qfi == pytest.approx(0.25, rel=1e-6)
+
+
+def _serial_chain(obs, theta, family, alphas):
+    """bound_chain's report fields on one thread: outcome_probs of each
+    stencil state in turn, then the same dp, var, slope, CFI and QFI."""
+    spec = matrix(obs, theta)
+    lam = spec.lambdas
+    out = []
+    for alpha in alphas:
+        stencil = fisher._stencil(family, alpha)
+        lo, p0, hi = (outcome_probs(spec, st) for st in stencil)
+        dp = (hi - lo) / (2.0 * fisher.PROB_STEP)
+        var = float(moments(p0, lam)[1])
+        slope = float(dp @ lam)
+        ic = fisher.fisher_information(p0, dp)
+        iq = fisher._family_qfi(stencil)
+        out.append((alpha, var / slope**2, 1.0 / ic, 1.0 / iq, ""))
+    return out
+
+
+def _ising4():
+    return StateFamily(lambda h: white_noise_ensemble(ground_state(ising(4, h))), (0.05, 2.0))
+
+
+def _naimark_mixture():
+    base = MixtureModel(2, 0.25).family()
+    return StateFamily(lambda a: _embed(base.state(a).ens, 1), base.alpha_range)
+
+
+@pytest.mark.parametrize(
+    "family, circuit, m, alphas",
+    [
+        (_ising4, qc.hea(4, 1), 1, [0.3, 1.0, 1.7]),
+        (_ising4, qc.hea(4, 1), 2, [0.3, 1.0, 1.7]),
+        (lambda: MixtureModel(3, 0.25).family(), qc.hea(3, 1), 2, [0.2, 0.5, 0.8]),
+        # d + 2 = 6 rows per state: the several-row matmul in outcome_probs
+        (_naimark_mixture, qc.hea(3, 2), 2, [0.2, 0.5, 0.8]),
+    ],
+    ids=["ising4-m1", "ising4-m2", "mixture3", "naimark-mixture"],
+)
+def test_bound_chain_bits_match_a_serial_stencil(family, circuit, m, alphas):
+    # the stencil's three outcome distributions run on worker threads; each is
+    # the unchanged single-state call, so the floats match a serial pass and
+    # repeat from run to run whatever the scheduling
+    rng = np.random.default_rng(17)
+    obs = ParamObservable(circuit, m, rng.normal(size=2**m))
+    theta = rng.uniform(0, 2 * np.pi, circuit.param_count)
+    want = _serial_chain(obs, theta, family(), alphas)
+    for _ in range(2):
+        got = bound_chain(obs, theta, family(), alphas)
+        fields = [(r.alpha, r.adjusted_variance, r.inv_cfi, r.inv_qfi, r.flag) for r in got]
+        assert fields == want
+
+
+def test_bound_chain_errors_raise_through_the_pool_and_leave_no_threads(monkeypatch):
+    threads = threading.active_count()
+    # a 2-dimensional state against 4-dimensional projectors fails inside a worker
+    obs = ParamObservable(qc.hea(2, 1), 1, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        bound_chain(obs, np.zeros(5), _bloch_family(), [0.3])
+    assert threading.active_count() == threads
+    c = qc.hea(3, 2)
+    obs = ParamObservable(c, 1, np.array([0.0, 1.0]))
+    theta = np.random.default_rng(3).uniform(0, 2 * np.pi, c.param_count)
+    monkeypatch.setattr(fisher, "CHAIN_TOL", -10.0)
+    with pytest.raises(ChainViolationError):
+        bound_chain(obs, theta, MixtureModel(3, 0.25).family(), [0.5])
+    assert threading.active_count() == threads
 
 
 def test_fisher_report_defaults():
