@@ -190,30 +190,19 @@ def _axis_plan(qubits: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tup
     return perm, inv
 
 
-# Batch size, in amplitudes, from which _apply_local issues its zgemm through
-# np.matmul, which lets OpenBLAS split a tall (rows x 2^k) product over its
-# threads; np.dot does not. Below it np.dot's lighter dispatch wins. Measured
-# at 2 threads on a 2-core x86 VM: matmul cost 0.2-0.4 us more per product of
-# a few hundred rows or fewer (2-4% of a 5-qubit, 2-row training restart) and
-# saved 3-50% from 2048 amplitudes on (n=8 training batches of 10 rows, n=10
-# unitary blocks).
-MATMUL_MIN_AMPS = 2048
-
-
 def _apply_local(batch: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply a k-qubit matrix to batch axes; batch shape (B, 2, ..., 2).
 
     One zgemm on the target axes moved last. The operands and their layout
     are those np.tensordot builds, so the floats are the same; einsum or
-    elementwise products round differently. np.matmul (from MATMUL_MIN_AMPS
-    amplitudes on) and np.dot issue the same zgemm; split over threads, each
-    output row is still one thread's (1 x 2^k)(2^k x 2^k) product, so the
-    bits depend on neither the call nor the BLAS thread count.
+    elementwise products round differently. np.matmul issues the zgemm that
+    np.dot would, but lets OpenBLAS split a tall product over its threads;
+    each output row is still one thread's (1 x 2^k)(2^k x 2^k) product, so
+    the bits depend on neither the call nor the BLAS thread count.
     """
     perm, inv = _axis_plan(qubits, batch.ndim)
     moved = batch.transpose(perm)
-    product = np.matmul if batch.size >= MATMUL_MIN_AMPS else np.dot
-    out = product(moved.reshape(-1, mat.shape[0]), mat.T)
+    out = np.matmul(moved.reshape(-1, mat.shape[0]), mat.T)
     return out.reshape(moved.shape).transpose(inv)
 
 

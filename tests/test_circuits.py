@@ -182,17 +182,15 @@ def _tensordot_reference(batch, mat, qubits):
 
 @pytest.mark.parametrize("n", [*range(1, 7), 10])
 def test_apply_local_bitwise_matches_tensordot(n):
-    # the kernel must give the bits of the zgemm that tensordot makes through
-    # np.dot, whether it calls np.dot or np.matmul, at any BLAS thread count;
-    # einsum rounds differently. n=10 with 64 rows is a blocked unitary's
-    # 1 MB row block, the shape at which OpenBLAS splits matmul's product over
-    # its threads and not dot's: 1- and 2-qubit gates on the first, a middle
-    # and the last qubit
+    # the kernel calls np.matmul and must give the bits of the zgemm that
+    # tensordot makes through np.dot, at any BLAS thread count; einsum rounds
+    # differently. n=10 with 64 rows is a blocked unitary's 1 MB row block,
+    # the shape at which OpenBLAS splits matmul's product over its threads
+    # and not dot's: 1- and 2-qubit gates on the first, a middle and the last
+    # qubit
     rng = np.random.default_rng(n)
     local = {name: kind for name, kind in qc.GATES.items() if 0 < kind.targets <= n}
     sites, sizes = (range(1, n + 1), (1, 3)) if n <= 6 else ((1, n // 2, n), (64,))
-    # np.dot below MATMUL_MIN_AMPS, np.matmul for the n=10 batch
-    assert all((nb * 2**n >= qc.MATMUL_MIN_AMPS) == (n == 10) for nb in sizes)
     for name, kind in local.items():
         for qubits in itertools.permutations(sites, kind.targets):
             gate = _gate(name, qubits, range(kind.slots))
