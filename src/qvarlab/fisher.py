@@ -22,7 +22,8 @@ import numpy as np
 
 from . import linalg
 from .observables import PROB_CLAMP, ParamObservable, SpectralObservable, as_ensemble
-from .observables import matrix, moments
+from .observables import matrix  # noqa: F401  (uncalled; perfbench/spans.py traces fisher.matrix)
+from .observables import moments, projector_blocks
 from .states import Ensemble, LabeledState, fidelity
 
 PROB_STEP = 1e-4
@@ -93,7 +94,9 @@ def outcome_probs(projectors, state) -> np.ndarray:
     """Probabilities Tr(P_k rho) = noise Tr(P_k)/d + sum_r w_r <r|P_k|r> for a
     stack of projectors, clamped to zero below PROB_CLAMP. One row (every pure
     state) keeps the bits of einsum("kij,i,j->k"); several rows take one
-    batched BLAS matmul P_k @ rows^T, not one naive einsum pass per row."""
+    batched BLAS matmul P_k @ rows^T, not one naive einsum pass per row, and
+    sum the weighted rows per outcome, so that each outcome's bits do not
+    depend on how many projectors share the stack (bound_chain's blocks)."""
     if isinstance(projectors, SpectralObservable):
         projectors = projectors.projectors
     proj = np.asarray(projectors, dtype=complex)
@@ -102,7 +105,7 @@ def outcome_probs(projectors, state) -> np.ndarray:
     if len(rows) == 1:
         p += w[0] * np.einsum("kij,i,j->k", proj, rows[0].conj(), rows[0]).real
     else:
-        p += np.einsum("kir,ri->kr", proj @ rows.T, rows.conj()).real @ w
+        p += (np.einsum("kir,ri->kr", proj @ rows.T, rows.conj()).real * w).sum(axis=1)
     p[np.abs(p) < PROB_CLAMP] = 0.0
     return p
 
@@ -233,7 +236,8 @@ def bound_chain(
 ) -> list[FisherReport]:
     """Adjusted variance, 1/CFI and 1/QFI for every grid point.
 
-    Grid points need their stencil alpha +- PROB_STEP inside the family range.
+    Grid points need their stencil alpha +- PROB_STEP inside the family range;
+    every point is checked before any state or unitary is computed.
     A slope |d<M>/d alpha| below 1e-10 leaves the adjusted variance undefined
     (reported as inf with a zero-slope flag). Ordering violations beyond
     CHAIN_TOL raise a ChainViolationError, and a diverging classical Fisher
@@ -241,70 +245,84 @@ def bound_chain(
     mark the report's flag instead; a divergent point reports inv_cfi = 0.0
     under a cfi-divergent flag and skips the ordering check.
 
-    Each point's three states are fetched on the calling thread; their three
-    outcome_probs calls run concurrently on a pool of three threads, made
-    per call and shut down on any exception. einsum and BLAS release the
-    GIL, and each worker runs the unchanged single-state call, so the bits
-    depend on neither the scheduling nor the thread count.
+    The readout projectors are streamed in observables.projector_blocks
+    blocks, never held as one (2**m, d, d) stack: the loop runs over blocks
+    outside and grid points inside, and fills a (points, 3, 2**m) table of
+    the stencils' outcome probabilities. For each block and point the three
+    states are fetched on the calling thread (pure states from the family
+    memo; mixed ones are evaluated again, since a Naimark-embedded state
+    holds d + 2 rows), and their three outcome_probs calls run concurrently
+    on a pool of three threads, made per call and shut down on any
+    exception. einsum and BLAS release the GIL, each worker runs the
+    unchanged single-state call, and outcome_probs' bits do not depend on
+    the block, so the bits depend on neither the scheduling, the thread
+    count nor the block size. Each point's QFI is taken in the first block.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off `import qvarlab`
 
     if on_violation not in ("raise", "flag"):
         raise ValueError("on_violation must be 'raise' or 'flag'")
-    spec_obs = matrix(obs, theta)
-    lam = spec_obs.lambdas
-    probs = partial(outcome_probs, spec_obs)
-    reports = []
-    with ThreadPoolExecutor(3) as pool:
-        for alpha in alphas:
-            alpha = float(alpha)
-            if not family.contains_stencil(alpha):
-                raise ValueError(
-                    f"alpha={alpha} too close to the family range boundary for "
-                    f"step {PROB_STEP}"
-                )
-            flags = []
-            # one caller for the family memo, LAPACK and the benchmark tracer
-            stencil = _stencil(family, alpha)
-            ps = list(pool.map(probs, stencil))
-            p0, dp = ps[1], _slope(ps)
-
-            var = float(moments(p0, lam)[1])
-            slope = float(dp @ lam)
-            if abs(slope) < SLOPE_FLOOR:
-                adjusted = float("inf")
-                flags.append("zero-slope")
-            else:
-                adjusted = var / slope**2
-
-            try:
-                ic = fisher_information(p0, dp)
-            except ValueError:
-                if on_violation == "raise":
-                    raise
-                ic = float("inf")
-                flags.append("cfi-divergent")
-            inv_cfi = 1.0 / ic if ic > 1e-300 else float("inf")
-            iq = _family_qfi(stencil)
-            inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
-
-            out_of_order = (adjusted < inv_cfi - CHAIN_TOL) or (inv_cfi < inv_qfi - CHAIN_TOL)
-            if out_of_order and "cfi-divergent" not in flags:
-                msg = (
-                    f"bound chain violated at alpha={alpha}: adjusted={adjusted:.9g}, "
-                    f"1/I_c={inv_cfi:.9g}, 1/I_q={inv_qfi:.9g}"
-                )
-                if on_violation == "raise":
-                    raise ChainViolationError(msg)
-                flags.append("chain-violation")
-
-            reports.append(
-                FisherReport(
-                    alpha=alpha,
-                    adjusted_variance=adjusted,
-                    inv_cfi=inv_cfi,
-                    inv_qfi=inv_qfi,
-                    flag=",".join(flags),
-                )
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if not family.contains_stencil(alpha):
+            raise ValueError(
+                f"alpha={alpha} too close to the family range boundary for "
+                f"step {PROB_STEP}"
             )
+    lam = obs.lambdas
+    table = np.empty((len(alphas), 3, obs.outcomes))
+    iqs = []
+    lo = 0
+    with ThreadPoolExecutor(3) as pool:
+        for block in projector_blocks(obs, theta):
+            probs = partial(outcome_probs, block)
+            for ps, alpha in zip(table, alphas):
+                # one caller for the family memo, LAPACK and the benchmark tracer
+                stencil = _stencil(family, alpha)
+                if not lo:
+                    iqs.append(_family_qfi(stencil))
+                ps[:, lo : lo + len(block)] = list(pool.map(probs, stencil))
+            lo += len(block)
+
+    reports = []
+    for alpha, ps, iq in zip(alphas, table, iqs):
+        flags = []
+        p0, dp = ps[1], _slope(ps)
+        var = float(moments(p0, lam)[1])
+        slope = float(dp @ lam)
+        if abs(slope) < SLOPE_FLOOR:
+            adjusted = float("inf")
+            flags.append("zero-slope")
+        else:
+            adjusted = var / slope**2
+
+        try:
+            ic = fisher_information(p0, dp)
+        except ValueError:
+            if on_violation == "raise":
+                raise
+            ic = float("inf")
+            flags.append("cfi-divergent")
+        inv_cfi = 1.0 / ic if ic > 1e-300 else float("inf")
+        inv_qfi = 1.0 / iq if iq > 1e-300 else float("inf")
+
+        out_of_order = (adjusted < inv_cfi - CHAIN_TOL) or (inv_cfi < inv_qfi - CHAIN_TOL)
+        if out_of_order and "cfi-divergent" not in flags:
+            msg = (
+                f"bound chain violated at alpha={alpha}: adjusted={adjusted:.9g}, "
+                f"1/I_c={inv_cfi:.9g}, 1/I_q={inv_qfi:.9g}"
+            )
+            if on_violation == "raise":
+                raise ChainViolationError(msg)
+            flags.append("chain-violation")
+
+        reports.append(
+            FisherReport(
+                alpha=alpha,
+                adjusted_variance=adjusted,
+                inv_cfi=inv_cfi,
+                inv_qfi=inv_qfi,
+                flag=",".join(flags),
+            )
+        )
     return reports

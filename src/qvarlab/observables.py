@@ -28,6 +28,7 @@ from .circuits import Circuit, apply_circuit, unitary
 from .states import Ensemble, LabeledState, check_ensemble, white_noise_ensemble
 
 PROB_CLAMP = 1e-14
+PROJECTOR_BLOCK_BYTES = 16 * 2**20  # one n=10 projector
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,35 @@ def variance(obs: ParamObservable, theta: np.ndarray, state) -> float:
     return float(moments(probabilities(obs, theta, state), obs.lambdas)[1])
 
 
-def matrix(obs: ParamObservable, theta: np.ndarray) -> SpectralObservable:
-    """Dense eigenvalue/projector form M = sum_i lambda_i U^dag P_i U.
+def projector_blocks(obs: ParamObservable, theta: np.ndarray, size: int | None = None):
+    """The readout projectors P_i = R^dag R, R the rows i, i + 2**m, ... of U
+    (the outcome's basis states), yielded in blocks of consecutive outcomes.
 
-    Projector i is R^dag R, R the rows i, i + 2**m, ... of U (the outcome's
-    basis states); each product is written straight into the (2**m, d, d)
-    stack, with no d x d temporary per outcome.
+    Each block is a (k, d, d) view of one buffer that the next block
+    overwrites, so a caller that reads one block at a time holds U plus size
+    projectors, whatever m is. size defaults to the most projectors that fit
+    in PROJECTOR_BLOCK_BYTES, and at least one: every n <= 8, m <= 4 readout
+    is one block, an n=10 readout one projector per block. Each product is
+    written straight into the buffer, with no d x d temporary per outcome.
     """
     u = unitary(obs.circuit, theta)
     d = u.shape[0]
     step = 2**obs.m
-    projectors = np.empty((step, d, d), dtype=complex)
-    for i in range(step):
-        rows = u[i::step]
-        np.matmul(rows.conj().T, rows, out=projectors[i])
-    return SpectralObservable(lambdas=obs.lambdas.copy(), projectors=projectors)
+    if size is None:
+        size = max(1, PROJECTOR_BLOCK_BYTES // (d * d * u.itemsize))
+    buf = np.empty((min(size, step), d, d), dtype=complex)
+    for lo in range(0, step, len(buf)):
+        block = buf[: step - lo]
+        for i, out in enumerate(block, lo):
+            rows = u[i::step]
+            np.matmul(rows.conj().T, rows, out=out)
+        yield block
 
+
+def matrix(obs: ParamObservable, theta: np.ndarray) -> SpectralObservable:
+    """Dense eigenvalue/projector form M = sum_i lambda_i U^dag P_i U: the
+    whole (2**m, d, d) stack as one projector_blocks block. The pipeline
+    streams the blocks instead (fisher.bound_chain); this form is the tests'
+    oracle, 2**m x 16 MB at n=10."""
+    (projectors,) = projector_blocks(obs, theta, size=2**obs.m)
+    return SpectralObservable(lambdas=obs.lambdas.copy(), projectors=projectors)

@@ -200,13 +200,21 @@ def _check_gap(values: np.ndarray) -> None:
         )
 
 
-def _shift_symmetric(h: np.ndarray, n: int) -> bool:
+def _flip_symmetric(h: np.ndarray) -> bool:
+    """Whether h commutes exactly with the global flip (s to d-1-s), that is
+    h[::-1, ::-1] == h: checked on the top half alone, whose reversal is the
+    bottom half exactly when the whole matrix is flip-invariant."""
+    d = len(h)
+    return d % 2 == 0 and np.array_equal(h[: d // 2][::-1, ::-1], h[d // 2 :])
+
+
+def _shift_symmetric(h: np.ndarray) -> bool:
     """Whether h commutes exactly with the ring translation, which rotates
-    the n bits of a basis index: compared on a transposed axis view of h as
-    a 2n-index tensor, with no gather."""
-    t = h.reshape([2] * (2 * n))
-    roll = [*range(1, n), 0]
-    return np.array_equal(t.transpose(roll + [n + a for a in roll]), t)
+    the n bits of a basis index: a one-bit rotation s = 2a + b to b d/2 + a
+    compared on two 4-axis views of h, with no gather."""
+    d = len(h)
+    rotated = h.reshape(d // 2, 2, d // 2, 2).transpose(1, 0, 3, 2)
+    return np.array_equal(rotated, h.reshape(2, d // 2, 2, d // 2))
 
 
 @cache
@@ -273,8 +281,8 @@ def ground_state(h: np.ndarray) -> np.ndarray:
     h = linalg.as_matrix(h)
     d = len(h)
     n = d.bit_length() - 1
-    flip = d % 2 == 0 and np.array_equal(h[::-1, ::-1], h)
-    shift = n > 1 and d == 1 << n and _shift_symmetric(h, n)
+    flip = _flip_symmetric(h)
+    shift = n > 1 and d == 1 << n and _shift_symmetric(h)
     if not (flip or shift):
         es = linalg.herm_eig(h)
         _check_gap(es.values)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qvarlab.fisher import (
 from qvarlab.hamiltonians import ising
 from qvarlab.linalg import herm_eig
 from qvarlab.mixture import MixtureModel, optimal_observable_matrix, qfi_commuting
-from qvarlab.observables import ParamObservable, matrix, moments
+from qvarlab.observables import ParamObservable, matrix, moments, projector_blocks
 from qvarlab.states import Ensemble, LabeledState, ground_state, white_noise_ensemble
 
 Z_PROJ = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -116,6 +117,35 @@ def test_outcome_probs_of_an_ensemble_match_the_dense_trace():
         st = LabeledState(0.4, ens=ens)
         want = np.einsum("kij,ji->k", spec.projectors, st.density()).real
         assert np.abs(outcome_probs(spec, st) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 11) for m in sorted({1, min(n, 3)})] + [(9, 4)]
+)
+def test_outcome_probs_is_block_independent(n, m):
+    # bound_chain reads the projectors in projector_blocks blocks: one block up
+    # to n = 8, 4 projectors per block at n = 9 and 1 at n = 10
+    rng = np.random.default_rng(100 + 10 * n + m)
+    c = qc.hea(n, 1)
+    obs = ParamObservable(c, m, rng.normal(size=2**m))
+    theta = rng.uniform(0, 2 * np.pi, c.param_count)
+    d = 2**n
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    states = [
+        LabeledState(0.1, white_noise_ensemble(psi / np.linalg.norm(psi))),
+        LabeledState(0.1, _random_ensemble(rng, d, 2, 0.3)),
+        LabeledState(0.1, _random_ensemble(rng, d, 6, 0.1)),
+    ]
+    spec = matrix(obs, theta)
+    whole = [outcome_probs(spec, st) for st in states]
+    del spec
+    sizes, parts = [], []
+    for block in projector_blocks(obs, theta):
+        sizes.append(len(block))
+        parts.append([outcome_probs(block, st) for st in states])
+    assert sizes == [min(2**m, 4 ** (10 - n))] * max(1, 2**m // 4 ** (10 - n))
+    for k, want in enumerate(whole):
+        assert np.array_equal(np.concatenate([p[k] for p in parts]), want)
 
 
 def test_outcome_probs_clamps_tiny_values():
@@ -458,6 +488,10 @@ def _ising4():
     return StateFamily(lambda h: white_noise_ensemble(ground_state(ising(4, h))), (0.05, 2.0))
 
 
+def _ising10():
+    return StateFamily(lambda h: white_noise_ensemble(ground_state(ising(10, h))), (0.05, 2.0))
+
+
 def _naimark_mixture():
     base = MixtureModel(2, 0.25).family()
     return StateFamily(lambda a: _embed(base.state(a).ens, 1), base.alpha_range)
@@ -471,13 +505,16 @@ def _naimark_mixture():
         (lambda: MixtureModel(3, 0.25).family(), qc.hea(3, 1), 2, [0.2, 0.5, 0.8]),
         # d + 2 = 6 rows per state: the several-row matmul in outcome_probs
         (_naimark_mixture, qc.hea(3, 2), 2, [0.2, 0.5, 0.8]),
+        # 8 one-projector blocks, against the whole 128 MB stack
+        (_ising10, qc.hea(10, 1), 3, [0.7, 1.3]),
     ],
-    ids=["ising4-m1", "ising4-m2", "mixture3", "naimark-mixture"],
+    ids=["ising4-m1", "ising4-m2", "mixture3", "naimark-mixture", "ising10-m3-blocks"],
 )
 def test_bound_chain_bits_match_a_serial_stencil(family, circuit, m, alphas):
-    # the stencil's three outcome distributions run on worker threads; each is
-    # the unchanged single-state call, so the floats match a serial pass and
-    # repeat from run to run whatever the scheduling
+    # the stencil's three outcome distributions run on worker threads, one
+    # projector block at a time; each is the unchanged single-state call, so
+    # the floats match a serial pass over the whole stack and repeat from run
+    # to run whatever the scheduling
     rng = np.random.default_rng(17)
     obs = ParamObservable(circuit, m, rng.normal(size=2**m))
     theta = rng.uniform(0, 2 * np.pi, circuit.param_count)
@@ -502,6 +539,37 @@ def test_bound_chain_errors_raise_through_the_pool_and_leave_no_threads(monkeypa
     with pytest.raises(ChainViolationError):
         bound_chain(obs, theta, MixtureModel(3, 0.25).family(), [0.5])
     assert threading.active_count() == threads
+
+
+def test_bound_chain_point_at_n10_holds_one_projector_not_the_stack():
+    # one cold n=10, m=3 point: the unitary, one 16 MB projector block and the
+    # ground-state solves, not the 128 MB (8, 1024, 1024) stack
+    c = qc.hea(10, 1)
+    rng = np.random.default_rng(23)
+    obs = ParamObservable(c, 3, rng.normal(size=8))
+    theta = rng.uniform(0, 2 * np.pi, c.param_count)
+    family = _ising10()
+    tracemalloc.start()
+    try:
+        bound_chain(obs, theta, family, [0.7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_bound_chain_checks_every_alpha_before_any_work():
+    calls = []
+
+    def ev(a):
+        calls.append(a)
+        return white_noise_ensemble(np.array([np.cos(a), np.sin(a)], dtype=complex))
+
+    c = qc.hea(1, 1)
+    obs = ParamObservable(c, 1, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="boundary"):
+        bound_chain(obs, np.zeros(c.param_count), StateFamily(ev, (-1.0, 2.0)), [0.3, 0.7, 2.0])
+    assert calls == []
 
 
 def test_fisher_report_defaults():

@@ -285,6 +285,33 @@ def test_symmetry_blocks_match_the_whole_solve(monkeypatch):
             _assert_equal_up_to_phase(psi, whole.eigenvectors[:, 0])
 
 
+def _whole_flip_symmetric(h):
+    return len(h) % 2 == 0 and np.array_equal(h[::-1, ::-1], h)
+
+
+def _whole_shift_symmetric(h, n):
+    t = h.reshape([2] * (2 * n))
+    roll = [*range(1, n), 0]
+    return np.array_equal(t.transpose(roll + [n + a for a in roll]), t)
+
+
+def test_symmetry_checks_match_the_whole_matrix_forms():
+    # the half-matrix flip check and the one-bit-rotation translation check
+    # give the booleans of the whole-matrix forms on every builder
+    hams = [hamiltonians.ising(n, h) for n in range(2, 11) for h in (0.05, 0.7)]
+    for eps in (0.0, 1e-2):
+        hams += [hamiltonians.cluster(n, x, eps) for n in range(3, 9) for x in (0.0, 0.3, 1.0)]
+    hams += [hamiltonians.schwinger(n, mu) for n in (2, 4, 6, 8) for mu in (-0.5, 0.0, 1.0)]
+    hams += list(_oracle_hamiltonians())
+    seen = set()
+    for ham in hams:
+        n = len(ham).bit_length() - 1
+        got = (states._flip_symmetric(ham), states._shift_symmetric(ham))
+        assert got == (_whole_flip_symmetric(ham), _whole_shift_symmetric(ham, n))
+        seen.add(got)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 10])
 def test_ising_real_sector_solve_matches_complex_sector_solve(n, monkeypatch):
     seen = _record_eig_inputs(monkeypatch)
