@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 # eager import would load a second copy first
 from . import circuits, fisher, hamiltonians, linalg, mixture, observables, states, training
 from .circuits import Circuit, apply_circuit, hea, hva_cluster, make_circuit, qcnn, unitary
-from .fisher import FisherReport, StateFamily, bound_chain, cfi, qfi_fidelity, qfi_spectral
-from .mixture import MixtureModel, optimal_observable_matrix, variance_full, variance_partial
+from .fisher import FisherReport, StateFamily, bound_chain, qfi_spectral
+from .mixture import MixtureModel, variance_full, variance_partial
 from .observables import ParamObservable, SpectralObservable, expectation, probabilities, variance
 from .states import LabeledState, ghz, ground_state, mixture_state, rank2_state
 from .training import TrainConfig, TrainResult, TrainSet, make_trainset, train
@@ -34,7 +34,6 @@ __all__ = [
     "TrainSet",
     "apply_circuit",
     "bound_chain",
-    "cfi",
     "circuits",
     "cli",
     "expectation",
@@ -50,10 +49,8 @@ __all__ = [
     "mixture",
     "mixture_state",
     "observables",
-    "optimal_observable_matrix",
     "probabilities",
     "qcnn",
-    "qfi_fidelity",
     "qfi_spectral",
     "rank2_state",
     "states",

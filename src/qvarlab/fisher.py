@@ -13,7 +13,6 @@ pure and mixed states share one route and no d x d state is formed.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -24,18 +23,13 @@ from . import linalg
 from .observables import PROB_CLAMP, ParamObservable, SpectralObservable, as_ensemble
 from .observables import matrix  # noqa: F401  (uncalled; perfbench/spans.py traces fisher.matrix)
 from .observables import moments, projector_blocks
-from .states import Ensemble, LabeledState, fidelity
+from .states import Ensemble, LabeledState
 
 PROB_STEP = 1e-4
 PROB_FLOOR = 1e-12
 DPROB_TOL = 1e-8
 SLOPE_FLOOR = 1e-10
 CHAIN_TOL = 1e-6
-QFI_STEP_REL = 1e-2
-
-
-class QfiStepWarning(UserWarning):
-    """Fidelity-based QFI changed by more than 1% under step halving."""
 
 
 class ChainViolationError(RuntimeError):
@@ -139,14 +133,6 @@ def _slope(values: Sequence):
     return (hi - lo) / (2.0 * PROB_STEP)
 
 
-def cfi(family: StateFamily, projectors, alpha: float) -> float:
-    """Classical Fisher information sum_i (d_alpha p_i)^2 / p_i by central FD
-    with step PROB_STEP; see fisher_information for vanishing outcomes.
-    """
-    ps = [outcome_probs(projectors, st) for st in _stencil(family, alpha)]
-    return fisher_information(ps[1], _slope(ps))
-
-
 def cfi_mixture_closed(alpha: float, p1, p2) -> float:
     """Closed-form CFI sum_i (p1_i - p2_i)^2 / (alpha p1_i + (1-alpha) p2_i)
     for an outcome distribution that interpolates linearly between p1 and p2.
@@ -168,34 +154,6 @@ def qfi_spectral(rho: np.ndarray, drho: np.ndarray) -> float:
     denom = es.values[:, None] + es.values[None, :]
     mask = denom > 1e-12
     return float(2.0 * np.sum(np.abs(t[mask]) ** 2 / denom[mask]))
-
-
-def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative L solving (rho L + L rho)/2 = drho."""
-    return linalg.solve_lyapunov(rho, 2.0 * np.asarray(drho, dtype=complex))
-
-
-def qfi_fidelity(family: StateFamily, alpha: float, dalpha: float = 1e-3) -> float:
-    """QFI estimated from the fidelity drop 8 (1 - F(rho_a, rho_{a+da})) / da^2.
-
-    A second evaluation at half the step must agree to 1% or a QfiStepWarning
-    is emitted; the full-step value is returned either way.
-    """
-    rho0 = family.state(alpha).density()
-    out = []
-    for step in (dalpha, dalpha / 2.0):
-        rho1 = family.state(alpha + step).density()
-        out.append(8.0 * (1.0 - fidelity(rho0, rho1)) / step**2)
-    i1, i2 = out
-    scale = max(abs(i1), abs(i2), 1e-12)
-    if abs(i1 - i2) / scale > QFI_STEP_REL:
-        warnings.warn(
-            f"fidelity QFI at alpha={alpha} moved from {i1:.6g} to {i2:.6g} "
-            f"under step halving",
-            QfiStepWarning,
-            stacklevel=2,
-        )
-    return i1
 
 
 def _family_qfi(stencil: Sequence[LabeledState]) -> float:
@@ -241,9 +199,11 @@ def bound_chain(
     A slope |d<M>/d alpha| below 1e-10 leaves the adjusted variance undefined
     (reported as inf with a zero-slope flag). Ordering violations beyond
     CHAIN_TOL raise a ChainViolationError, and a diverging classical Fisher
-    information raises the ValueError of cfi. With on_violation="flag" both
-    mark the report's flag instead; a divergent point reports inv_cfi = 0.0
-    under a cfi-divergent flag and skips the ordering check.
+    information raises the ValueError of fisher_information. With
+    on_violation="flag" both mark the report's flag instead; a divergent
+    point reports inv_cfi = 0.0 under a cfi-divergent flag and skips the
+    ordering check. An empty grid returns [] before any unitary, projector
+    or thread is made.
 
     The readout projectors are streamed in observables.projector_blocks
     blocks, never held as one (2**m, d, d) stack: the loop runs over blocks
@@ -263,6 +223,8 @@ def bound_chain(
     if on_violation not in ("raise", "flag"):
         raise ValueError("on_violation must be 'raise' or 'flag'")
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        return []
     for alpha in alphas:
         if not family.contains_stencil(alpha):
             raise ValueError(

@@ -3,8 +3,8 @@
 All builders return dense Hermitian matrices on 2**n dimensions with qubit 1
 as the most significant bit. Periodic models wrap indices modulo n. A Pauli
 string is added as a bit-flip mask plus a phase per basis state, so no
-builder forms Kronecker products; pauli_matrix keeps the dense Kronecker
-form as the reference the tests compare against.
+builder forms Kronecker products; the tests compare against the dense
+Kronecker form (pauli_matrix in tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from . import linalg
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -49,13 +47,6 @@ class PauliString:
         object.__setattr__(self, "coeff", float(coeff))
 
 
-def pauli_matrix(ps: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string."""
-    lookup = dict(ps.letters)
-    factors = [PAULI[lookup.get(q, "I")] for q in range(1, ps.n + 1)]
-    return ps.coeff * linalg.kron(factors)
-
-
 def _flip_and_phase(ps: PauliString) -> tuple[int, np.ndarray]:
     """Bit-flip mask and per-column phase of a Pauli string, coefficient aside.
 
@@ -83,8 +74,9 @@ def pauli_sum(strings: Sequence[PauliString]) -> np.ndarray:
     """Dense sum of Pauli strings sharing one register size.
 
     Each string adds coeff * phase into out[s ^ flip, s] for every column s,
-    O(2**n) work per string. The values added are exactly those of the dense
-    pauli_matrix, in the same order per entry, so the sum is bitwise the same.
+    O(2**n) work per string. The values added are exactly those of the
+    dense Kronecker form, in the same order per entry, so the sum is bitwise
+    the same.
     """
     if not strings:
         raise ValueError("empty Pauli sum")

@@ -15,13 +15,11 @@ on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PHASE_TOL = 1e-10
-LYAPUNOV_MIN_EIG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,50 +112,3 @@ def herm_eig(a, tol: float = HERMITICITY_TOL) -> EigenSystem:
     values, vectors = np.linalg.eigh(hermitianize(a))
     return EigenSystem(values=values, vectors=_fix_phases(vectors))
 
-
-def herm_fn(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    f receives the eigenvalue array and may return complex values (so gate
-    exponentials work). Non-finite results mean f is undefined somewhere on
-    the spectrum and raise.
-    """
-    es = herm_eig(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fvals = np.asarray(f(es.values))
-    if fvals.shape != es.values.shape:
-        raise ValueError("f must map the eigenvalue array elementwise")
-    if not np.all(np.isfinite(fvals)):
-        bad = es.values[~np.isfinite(fvals)]
-        raise ValueError(f"function undefined at eigenvalue(s) {bad}")
-    return (es.vectors * fvals) @ es.vectors.conj().T
-
-
-def solve_lyapunov(a, b) -> np.ndarray:
-    """Solve A X + X A = B for Hermitian A, B with A strictly positive.
-
-    Solved in the eigenbasis of A: X_ij = B_ij / (a_i + a_j). A minimum
-    eigenvalue at or below 1e-12 makes the problem singular and raises.
-    """
-    a = require_hermitian(a)
-    b = require_hermitian(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    es = herm_eig(a)
-    if es.values.min() <= LYAPUNOV_MIN_EIG:
-        raise ValueError(
-            f"A must be strictly positive (min eigenvalue {es.values.min():.3e})"
-        )
-    v = es.vectors
-    btil = v.conj().T @ b @ v
-    denom = es.values[:, None] + es.values[None, :]
-    x = v @ (btil / denom) @ v.conj().T
-    return hermitianize(x)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary from the QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

@@ -1,4 +1,4 @@
-"""State constructors, labeled states, fidelity, and ground states.
+"""State constructors, labeled states, and ground states.
 
 A LabeledState is a label and its ensemble, checked by check_ensemble;
 white_noise_ensemble makes one from a vector or a density matrix.
@@ -54,15 +54,6 @@ class LabeledState:
     def dim(self) -> int:
         return self.ens.rows.shape[1]
 
-    def density(self) -> np.ndarray:
-        """The d x d matrix sum_k w_k |r_k><r_k| + noise * I/d, summed from
-        the ensemble on each call, for the dense routines only (fidelity,
-        qfi_fidelity); nothing on the bound-chain or training path reads it."""
-        w, rows, noise = self.ens
-        rho = (rows.T * w) @ rows.conj()
-        rho[np.diag_indices(self.dim)] += noise / self.dim
-        return rho
-
 
 class Ensemble(NamedTuple):
     """rho = sum_k weights[k] |rows[k]><rows[k]| + noise * I/d."""
@@ -81,8 +72,8 @@ def white_noise_ensemble(state) -> Ensemble:
     and rows of weight at or below ENSEMBLE_FLOOR are dropped. Since
     U (I/d) U^dag = I/d, only the rows need evolving: a rank-r state mixed
     with white noise costs r rows, and I/d itself costs none. A lambda_min
-    below EIGENVALUE_CLIP (the rule fidelity uses) raises: the matrix is no
-    state, and its noise weight would be negative.
+    below EIGENVALUE_CLIP raises: the matrix is no state, and its noise
+    weight would be negative.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
@@ -166,28 +157,6 @@ def mixture_state(alpha: float, rho1: np.ndarray, rho2: np.ndarray) -> np.ndarra
     if rho1.shape != rho2.shape:
         raise ValueError(f"shape mismatch {rho1.shape} vs {rho2.shape}")
     return alpha * rho1 + (1.0 - alpha) * rho2
-
-
-def _sqrt_spectrum(values: np.ndarray) -> np.ndarray:
-    """Square roots of a PSD spectrum clipped at 0; below EIGENVALUE_CLIP raises."""
-    if values.min() < EIGENVALUE_CLIP:
-        raise ValueError(f"negative eigenvalue beyond tolerance: {values.min():.3e}")
-    return np.sqrt(np.clip(values, 0.0, None))
-
-
-def fidelity(rho: np.ndarray, tau: np.ndarray) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) tau sqrt(rho)).
-
-    Inputs are symmetrized and eigenvalue-clipped at -1e-10 first; anything
-    more negative raises.
-    """
-    rho = linalg.as_matrix(rho)
-    tau = linalg.as_matrix(tau)
-    if rho.shape != tau.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {tau.shape}")
-    s = linalg.herm_fn(linalg.hermitianize(rho), _sqrt_spectrum)
-    inner = linalg.hermitianize(s @ linalg.hermitianize(tau) @ s)
-    return float(np.sum(_sqrt_spectrum(np.linalg.eigvalsh(inner))))
 
 
 def _check_gap(values: np.ndarray) -> None:

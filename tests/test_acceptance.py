@@ -9,13 +9,9 @@ import pytest
 
 from qvarlab.circuits import hea, hva_cluster, qcnn
 from qvarlab.cli import FAMILY_BUILDERS, ExperimentConfig
-from qvarlab.fisher import bound_chain, qfi_fidelity, qfi_spectral, sld
-from qvarlab.linalg import solve_lyapunov
+from qvarlab.fisher import bound_chain, qfi_spectral
 from qvarlab.mixture import (
     MixtureModel,
-    optimal_observable_matrix,
-    projector_optimality_oracle,
-    qfi_alpha_printed,
     qfi_half_closed,
     total_variance_partial,
     variance_full,
@@ -23,6 +19,16 @@ from qvarlab.mixture import (
 )
 from qvarlab.observables import ParamObservable, probabilities
 from qvarlab.training import TrainConfig, make_trainset, train
+
+from oracles import (
+    density,
+    optimal_observable_matrix,
+    projector_optimality_oracle,
+    qfi_alpha_printed,
+    qfi_fidelity,
+    sld,
+    solve_lyapunov,
+)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -101,7 +107,7 @@ def test_criterion_2_qfi_oracle_cross_validation():
             fam = model.family()
             drho = model.rho1() - np.eye(model.dim) / model.dim
             for a in (0.1, 0.25, 0.5, 0.75, 0.85):
-                rho = fam.state(a).density()
+                rho = density(fam.state(a))
                 spectral = qfi_spectral(rho, drho)
                 ell = sld(rho, drho)
                 trace_route = np.trace(rho @ ell @ ell).real
@@ -114,8 +120,8 @@ def test_criterion_2_qfi_oracle_cross_validation():
                 if a == 0.5:
                     ok = ok and close(spectral, qfi_half_closed(n, r))
     # the printed alpha-dependent closed form disagrees with every oracle at
-    # this point; its quarantined value is pinned so regressions surface
-    printed = qfi_alpha_printed(0.5, 2, 0.5, allow_invalid=True)
+    # this point; its value is pinned so regressions surface
+    printed = qfi_alpha_printed(0.5, 2, 0.5)
     oracle = 4.0 / 3.0
     ok = ok and abs(printed - (-4.0 / 21.0)) < 1e-12 and abs(printed - oracle) > 1.0
     _verdict(2, ok, f"worst fidelity-route rel err {worst_rel:.2e}, printed form divergence confirmed")

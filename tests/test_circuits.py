@@ -6,7 +6,9 @@ import pytest
 
 from qvarlab import circuits as qc
 from qvarlab import hamiltonians as ham
-from qvarlab.linalg import herm_fn, kron
+from qvarlab.linalg import kron
+
+from oracles import herm_fn, pauli_matrix
 
 X = ham.PAULI["X"]
 Y = ham.PAULI["Y"]
@@ -71,7 +73,7 @@ def test_sum_gate_matches_dense_exponential(n):
     for name, terms in strings.items():
         c = qc.make_circuit(n, [_gate(name, (), (0,))], 1)
         got = qc.unitary(c, np.array([th]))
-        gen = sum(ham.pauli_matrix(ham.PauliString(n, t)) for t in terms)
+        gen = sum(pauli_matrix(ham.PauliString(n, t)) for t in terms)
         want = herm_fn(gen, lambda w: np.exp(-1j * th * w))
         assert np.allclose(got, want, atol=1e-13), name
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,9 @@ from qvarlab.mixture import qfi_commuting, variance_full, variance_partial
 from qvarlab.observables import ensemble_outcomes
 from qvarlab.states import LabeledState, white_noise_ensemble
 from qvarlab.training import TrainSet, _Engine
+
+import oracles
+from oracles import density
 
 
 def _read_rows(path):
@@ -88,6 +92,45 @@ def test_module_route_runs_without_runtime_warning(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# the reference implementations that live in tests/oracles.py, by the module
+# (or class) that held them before; no pipeline path calls any of them
+ORACLE_NAMES = {
+    "fisher": ["cfi", "sld", "qfi_fidelity", "QfiStepWarning", "QFI_STEP_REL"],
+    "states": ["fidelity", "_sqrt_spectrum"],
+    "states.LabeledState": ["density"],
+    "linalg": ["solve_lyapunov", "LYAPUNOV_MIN_EIG", "herm_fn", "haar_unitary"],
+    "mixture": [
+        "qfi_alpha_printed", "f_divergence", "check_majorization", "MAJORIZATION_TOL",
+        "OptimalityReport", "projector_optimality_oracle", "optimal_observable_matrix",
+    ],
+    "hamiltonians": ["pauli_matrix"],
+}
+
+
+def test_import_qvarlab_exposes_no_test_oracle():
+    # a fresh interpreter, so that nothing a test imported or patched counts
+    assert all(hasattr(oracles, n) for names in ORACLE_NAMES.values() for n in names)
+    script = (
+        "import json, operator, sys, qvarlab\n"
+        "found = [f'{owner}.{n}' for owner, names in json.loads(sys.argv[1]).items()\n"
+        "         for n in names if hasattr(operator.attrgetter(owner)(qvarlab), n)]\n"
+        "print(json.dumps([found, sorted(qvarlab.__all__)]))\n"
+    )
+    src = str(Path(qvarlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(ORACLE_NAMES)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found, exported = json.loads(proc.stdout)
+    assert found == []
+    assert not set(exported) & {n for names in ORACLE_NAMES.values() for n in names}
 
 
 def test_run_reports_written_files(tmp_path):
@@ -255,8 +298,8 @@ def test_embed_item_appends_ancillas_in_zero(experiment, ma):
     # a pure item (one row, no noise) stays pure
     pure = len(item.ens.rows) == 1 and item.ens.noise == 0.0
     assert (len(big.ens.rows) == 1 and big.ens.noise == 0.0) == pure
-    want = np.kron(item.density(), _ancilla_zero(ma))
-    assert np.abs(big.density() - want).max() < 1e-15
+    want = np.kron(density(item), _ancilla_zero(ma))
+    assert np.abs(density(big) - want).max() < 1e-15
     # measuring the ancillas of any row gives outcome 0 with certainty
     rows = big.ens.rows
     p = ensemble_outcomes(rows, np.eye(len(rows)), 0.0, ma)
@@ -270,8 +313,8 @@ def test_naimark_mixture_items_share_their_noise_rows():
     labels = (0.0, 0.4, 0.7, 1.0)
     ts = TrainSet(tuple(LabeledState(a, cli._embed(fam.state(a).ens, 1)) for a in labels))
     for it in ts.items:
-        want = np.kron(fam.state(it.label).density(), _ancilla_zero(1))
-        assert np.abs(it.density() - want).max() < 1e-15
+        want = np.kron(density(fam.state(it.label)), _ancilla_zero(1))
+        assert np.abs(density(it) - want).max() < 1e-15
         assert it.ens.noise == 0.0
     circuit = hea(3, 2)
     engine = _Engine(circuit, 1, ts)
@@ -279,7 +322,7 @@ def test_naimark_mixture_items_share_their_noise_rows():
     theta = np.random.default_rng(3).uniform(0, 2 * np.pi, circuit.param_count)
     want = []
     for it in ts.items:
-        ens = white_noise_ensemble(it.density())
+        ens = white_noise_ensemble(density(it))
         rows = apply_circuit(circuit, theta, ens.rows)
         want.append(ensemble_outcomes(rows, ens.weights, ens.noise, 1))
     assert np.max(np.abs(engine.probs(theta) - np.array(want))) < 1e-12

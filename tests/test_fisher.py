@@ -10,21 +10,19 @@ from qvarlab.cli import _embed
 from qvarlab.fisher import (
     ChainViolationError,
     FisherReport,
-    QfiStepWarning,
     StateFamily,
     bound_chain,
-    cfi,
     cfi_mixture_closed,
     outcome_probs,
-    qfi_fidelity,
     qfi_spectral,
-    sld,
 )
 from qvarlab.hamiltonians import ising
 from qvarlab.linalg import herm_eig
-from qvarlab.mixture import MixtureModel, optimal_observable_matrix, qfi_commuting
+from qvarlab.mixture import MixtureModel, qfi_commuting
 from qvarlab.observables import ParamObservable, matrix, moments, projector_blocks
 from qvarlab.states import Ensemble, LabeledState, ground_state, white_noise_ensemble
+
+from oracles import QfiStepWarning, cfi, density, optimal_observable_matrix, qfi_fidelity, sld
 
 Z_PROJ = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
 
@@ -115,7 +113,7 @@ def test_outcome_probs_of_an_ensemble_match_the_dense_trace():
     naimark = _embed(MixtureModel(2, 0.25).family().state(0.4).ens, 1)
     for ens in (_random_ensemble(rng, 8, 3, 0.3), white, naimark):
         st = LabeledState(0.4, ens=ens)
-        want = np.einsum("kij,ji->k", spec.projectors, st.density()).real
+        want = np.einsum("kij,ji->k", spec.projectors, density(st)).real
         assert np.abs(outcome_probs(spec, st) - want).max() < 1e-14
 
 
@@ -227,7 +225,7 @@ def test_span_qfi_matches_dense_qfi_spectral(d):
         fam = StateFamily(ev, (0.0, 1.0))
         for a in (0.2, 0.6):
             stencil = fisher._stencil(fam, a)
-            rhos = [st.density() for st in stencil]
+            rhos = [density(st) for st in stencil]
             want = qfi_spectral(rhos[1], fisher._slope(rhos))
             assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-10
 
@@ -243,7 +241,7 @@ def test_span_qfi_at_a_centre_with_no_rows():
         return Ensemble(np.array([abs(a)]), eye[[int(a < 0)]], 1.0 - abs(a))
 
     stencil = fisher._stencil(StateFamily(ev, (-1.0, 1.0)), 0.0)
-    want = qfi_spectral(np.eye(4) / 4, fisher._slope([st.density() for st in stencil]))
+    want = qfi_spectral(np.eye(4) / 4, fisher._slope([density(st) for st in stencil]))
     assert abs(want - 2.0) < 1e-9
     assert abs(fisher._family_qfi(stencil) - want) < 1e-12
     # white noise at every stencil point: no rows anywhere, no information
@@ -278,7 +276,7 @@ def test_span_qfi_diverges_where_the_noise_weight_leaves_zero():
     fam = StateFamily(ev, (-1.0, 1.0))
     assert _span_qfi(fam, 0.0) == float("inf")
     stencil = fisher._stencil(fam, 0.5)
-    want = qfi_spectral(stencil[1].density(), fisher._slope([st.density() for st in stencil]))
+    want = qfi_spectral(density(stencil[1]), fisher._slope([density(st) for st in stencil]))
     assert abs(fisher._family_qfi(stencil) / want - 1.0) < 1e-12
 
 
@@ -556,6 +554,20 @@ def test_bound_chain_point_at_n10_holds_one_projector_not_the_stack():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_bound_chain_on_an_empty_grid_builds_nothing(monkeypatch):
+    # the CLI passes an empty grid when no point has a centred stencil
+    # (mixture --eval-points 2: the grid {0, 1} is the family's edges)
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("projector blocks built for an empty grid")
+
+    monkeypatch.setattr(fisher, "projector_blocks", no_blocks)
+    obs = ParamObservable(qc.hea(2, 1), 1, np.array([0.0, 1.0]))
+    fam = MixtureModel(2, 0.25).family()
+    assert bound_chain(obs, np.zeros(5), fam, []) == []
+    with pytest.raises(ValueError, match="on_violation"):
+        bound_chain(obs, np.zeros(5), fam, [], on_violation="ignore")
 
 
 def test_bound_chain_checks_every_alpha_before_any_work():

@@ -4,6 +4,8 @@ import pytest
 from qvarlab import hamiltonians as ham
 from qvarlab.linalg import kron
 
+from oracles import pauli_matrix
+
 X = ham.PAULI["X"]
 Y = ham.PAULI["Y"]
 Z = ham.PAULI["Z"]
@@ -20,9 +22,9 @@ def test_pauli_string_validation():
 
 
 def test_pauli_matrix_placement():
-    got = ham.pauli_matrix(ham.PauliString(3, {2: "Z"}, coeff=2.0))
+    got = pauli_matrix(ham.PauliString(3, {2: "Z"}, coeff=2.0))
     assert np.array_equal(got, 2.0 * kron(I2, Z, I2))
-    got2 = ham.pauli_matrix(ham.PauliString(2, {1: "X", 2: "Y"}))
+    got2 = pauli_matrix(ham.PauliString(2, {1: "X", 2: "Y"}))
     assert np.array_equal(got2, kron(X, Y))
 
 
@@ -79,7 +81,7 @@ def test_cluster_limits():
     # x=1: pure transverse field plus the small pinning term
     h1 = ham.cluster(4, 1.0, eps=0.0)
     want = -sum(
-        ham.pauli_matrix(ham.PauliString(4, {i: "X"})) for i in range(1, 5)
+        pauli_matrix(ham.PauliString(4, {i: "X"})) for i in range(1, 5)
     )
     assert np.allclose(h1, want, atol=1e-13)
     e0 = np.linalg.eigvalsh(ham.cluster(4, 1.0))[0]
@@ -104,7 +106,7 @@ def test_pauli_sum_bitwise_matches_dense_reference():
             strings.append(ham.PauliString(n, letters, coeff=float(rng.normal())))
         want = np.zeros((2**n, 2**n), dtype=complex)
         for ps in strings:
-            want += ham.pauli_matrix(ps)
+            want += pauli_matrix(ps)
         assert np.array_equal(ham.pauli_sum(strings), want)
 
 
@@ -113,15 +115,15 @@ def _schwinger_nested_reference(n, mu, w, g):
     d = 2**n
     out = np.zeros((d, d), dtype=complex)
     for j in range(1, n):
-        out += w * ham.pauli_matrix(ham.PauliString(n, {j: "X", j + 1: "X"}))
-        out += w * ham.pauli_matrix(ham.PauliString(n, {j: "Y", j + 1: "Y"}))
+        out += w * pauli_matrix(ham.PauliString(n, {j: "X", j + 1: "X"}))
+        out += w * pauli_matrix(ham.PauliString(n, {j: "Y", j + 1: "Y"}))
     for j in range(1, n + 1):
-        out += (mu / 2.0) * (-1) ** j * ham.pauli_matrix(ham.PauliString(n, {j: "Z"}))
+        out += (mu / 2.0) * (-1) ** j * pauli_matrix(ham.PauliString(n, {j: "Z"}))
     eye = np.eye(d, dtype=complex)
     for j in range(1, n + 1):
         field = np.zeros((d, d), dtype=complex)
         for l in range(1, j + 1):
-            field -= 0.5 * (ham.pauli_matrix(ham.PauliString(n, {l: "Z"})) + (-1) ** j * eye)
+            field -= 0.5 * (pauli_matrix(ham.PauliString(n, {l: "Z"})) + (-1) ** j * eye)
         out += g * field
     return out
 

