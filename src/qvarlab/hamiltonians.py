@@ -1,10 +1,11 @@
 """Spin-chain Hamiltonians assembled from Pauli strings.
 
-All builders return dense Hermitian matrices on 2**n dimensions with qubit 1
-as the most significant bit. Periodic models wrap indices modulo n. A Pauli
-string is added as a bit-flip mask plus a phase per basis state, so no
-builder forms Kronecker products; the tests compare against the dense
-Kronecker form (pauli_matrix in tests/oracles.py).
+All builders return a FlipSum, the Hermitian matrix on 2**n dimensions
+(qubit 1 the most significant bit) stored as one column per bit-flip mask,
+with no d x d array; FlipSum.dense() gives the matrix. Periodic models wrap
+indices modulo n. A Pauli string is added as a bit-flip mask plus a phase
+per basis state, so no builder forms Kronecker products; the tests compare
+against the dense Kronecker form (pauli_matrix in tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from . import linalg
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -70,28 +73,61 @@ def _flip_and_phase(ps: PauliString) -> tuple[int, np.ndarray]:
     return flip, np.array([1, 1j, -1, -1j])[power % 4]
 
 
-def pauli_sum(strings: Sequence[PauliString]) -> np.ndarray:
-    """Dense sum of Pauli strings sharing one register size.
+@dataclass(frozen=True, eq=False)
+class FlipSum:
+    """A 2**n x 2**n matrix by its bit-flip masks: H[s ^ masks[k], s] = cols[k, s].
 
-    Each string adds coeff * phase into out[s ^ flip, s] for every column s,
-    O(2**n) work per string. The values added are exactly those of the
-    dense Kronecker form, in the same order per entry, so the sum is bitwise
-    the same.
+    Every entry of H lies on exactly one mask, row ^ column, so masks absent
+    from masks are zero columns. cols is complex128 of shape
+    (len(masks), 2**n) and masks are distinct.
+    """
+
+    n: int
+    masks: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def from_dense(cls, h) -> FlipSum:
+        """All 2**n columns of a dense matrix, each entry copied as is."""
+        h = linalg.as_matrix(h)
+        d = len(h)
+        n = d.bit_length() - 1
+        if d != 1 << n:
+            raise ValueError(f"expected 2**n dimensions, got {d}")
+        s = np.arange(d)
+        return cls(n, s, h[s[:, None] ^ s, s])
+
+    def dense(self) -> np.ndarray:
+        """The d x d complex matrix, each entry written once from its column."""
+        s = np.arange(1 << self.n)
+        out = np.zeros((len(s), len(s)), dtype=complex)
+        out[self.masks[:, None] ^ s, s] = self.cols
+        return out
+
+
+def pauli_sum(strings: Sequence[PauliString]) -> FlipSum:
+    """Sum of Pauli strings sharing one register size, as a FlipSum.
+
+    Each string adds coeff * phase into its mask's column, O(2**n) work per
+    string, in list order; a mask's column starts at zero when its first
+    string arrives. The values added are exactly those of the dense
+    Kronecker form, in the same order per entry, so FlipSum.dense() is
+    bitwise the same as the dense sum.
     """
     if not strings:
         raise ValueError("empty Pauli sum")
     n = strings[0].n
     if any(ps.n != n for ps in strings):
         raise ValueError("all strings must act on the same register")
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    cols = np.arange(2**n)
+    cols: dict[int, np.ndarray] = {}
     for ps in strings:
         flip, phase = _flip_and_phase(ps)
-        out[cols ^ flip, cols] += ps.coeff * phase
-    return out
+        col = cols.setdefault(flip, np.zeros(2**n, dtype=complex))
+        col += ps.coeff * phase
+    return FlipSum(n, np.array(list(cols)), np.array(list(cols.values())))
 
 
-def ising(n: int, h: float) -> np.ndarray:
+def ising(n: int, h: float) -> FlipSum:
     """Transverse-field Ising ring: sum_i Z_i Z_{i+1} + h sum_i X_i.
 
     Periodic boundary; for n=2 both bond terms hit the same pair, so the
@@ -107,7 +143,7 @@ def ising(n: int, h: float) -> np.ndarray:
     return pauli_sum(terms)
 
 
-def schwinger(n: int, mu: float, w: float = 1.0, g: float = 1.0) -> np.ndarray:
+def schwinger(n: int, mu: float, w: float = 1.0, g: float = 1.0) -> FlipSum:
     """Lattice gauge chain with open hopping terms and a staggered mass.
 
     H = w sum_{j<n} (X_j X_{j+1} + Y_j Y_{j+1})
@@ -134,7 +170,7 @@ def schwinger(n: int, mu: float, w: float = 1.0, g: float = 1.0) -> np.ndarray:
     return pauli_sum(terms)
 
 
-def cluster(n: int, x: float, eps: float = 1e-2) -> np.ndarray:
+def cluster(n: int, x: float, eps: float = 1e-2) -> FlipSum:
     """Interpolated cluster ring with a small symmetry-breaking field.
 
     H(x) = -cos(pi x / 2) sum_i Z_i X_{i+1} Z_{i+2}

@@ -5,10 +5,12 @@ white_noise_ensemble makes one from a vector or a density matrix.
 
 ground_state solves a Hamiltonian per block of its exact symmetries: the
 global spin flip and the ring translation, each used only when the matrix
-commutes with it bit for bit. A block is one momentum k and one flip parity
-f; ties within GAP_TOL go to the even parity, then to the lowest k. The
-degeneracy warning reads the two lowest levels of the chosen parity over
-all its k blocks. At n=10 the Ising ring's widest block has 56 rows, and
+commutes with it bit for bit. Both are decided, and the blocks assembled,
+on the Hamiltonian's bit-flip mask columns (hamiltonians.FlipSum), so a
+symmetric Hamiltonian is never formed as a d x d matrix. A block is one
+momentum k and one flip parity f; ties within GAP_TOL go to the even
+parity, then to the lowest k. The degeneracy warning reads the two lowest
+levels of the chosen parity over all its k blocks. At n=10 the Ising ring's widest block has 56 rows, and
 its states have the same bits at 1 and 2 BLAS threads.
 """
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .hamiltonians import FlipSum
 
 GAP_TOL = 1e-10
 EIGENVALUE_CLIP = -1e-10
@@ -169,21 +172,33 @@ def _check_gap(values: np.ndarray) -> None:
         )
 
 
-def _flip_symmetric(h: np.ndarray) -> bool:
-    """Whether h commutes exactly with the global flip (s to d-1-s), that is
-    h[::-1, ::-1] == h: checked on the top half alone, whose reversal is the
-    bottom half exactly when the whole matrix is flip-invariant."""
-    d = len(h)
-    return d % 2 == 0 and np.array_equal(h[: d // 2][::-1, ::-1], h[d // 2 :])
+def _flip_symmetric(h: FlipSum) -> bool:
+    """Whether h commutes exactly with the global flip F (s to s ^ (d-1),
+    that is d-1-s): F keeps every mask, so each column must equal itself
+    reversed."""
+    return h.n > 0 and np.array_equal(h.cols[:, ::-1], h.cols)
 
 
-def _shift_symmetric(h: np.ndarray) -> bool:
-    """Whether h commutes exactly with the ring translation, which rotates
-    the n bits of a basis index: a one-bit rotation s = 2a + b to b d/2 + a
-    compared on two 4-axis views of h, with no gather."""
-    d = len(h)
-    rotated = h.reshape(d // 2, 2, d // 2, 2).transpose(1, 0, 3, 2)
-    return np.array_equal(rotated, h.reshape(2, d // 2, 2, d // 2))
+def _rotl(s: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit indices s rotated left one bit, the ring translation T."""
+    return ((s << 1) | (s >> (n - 1))) & ((1 << n) - 1)
+
+
+def _shift_symmetric(h: FlipSum) -> bool:
+    """Whether h commutes exactly with the ring translation T (n > 1): T
+    takes mask f to rot f, so column rot f read at rot s must equal column f
+    at s, a mask missing from h counting as a zero column. Comparing each
+    present mask with its image suffices: along a cycle of masks the
+    equalities carry a missing mask's zeros to every present one."""
+    if h.n < 2:
+        return False
+    s = np.arange(1 << h.n)
+    slot = np.full(len(s), -1)
+    slot[h.masks] = np.arange(len(h.masks))
+    image = slot[_rotl(h.masks, h.n)]
+    has = image >= 0
+    moved = h.cols[image[has][:, None], _rotl(s, h.n)]
+    return np.array_equal(moved, h.cols[has]) and not h.cols[~has].any()
 
 
 @cache
@@ -194,9 +209,9 @@ def _orbits(d: int, flip: bool, shift: bool):
     The group elements are T^js[g] F^fs[g], flip-free first. order lists the
     basis orbit by orbit, each orbit's least index (its representative)
     first and the orbits by ascending representative; orbit o begins at
-    order[starts[o]]. gen[i] is the first element taking order[i]'s
-    representative to order[i], and stab[g, o] says whether element g fixes
-    orbit o's representative.
+    order[starts[o]], and basis index s sits at order[slot[s]]. gen[i] is
+    the first element taking order[i]'s representative to order[i], and
+    stab[g, o] says whether element g fixes orbit o's representative.
     """
     n = d.bit_length() - 1
     s = np.arange(d)
@@ -206,34 +221,42 @@ def _orbits(d: int, flip: bool, shift: bool):
     js, fs = np.tile(js, 1 + flip), np.repeat(np.arange(1 + flip), len(js))
     rep = perms.min(axis=0)
     order = np.argsort(rep, kind="stable")
+    slot = np.empty(d, int)
+    slot[order] = s
     starts = np.flatnonzero(np.diff(rep[order], prepend=-1))
     gen = (perms[:, rep[order]] == order).argmax(axis=0)
     reps = order[starts]
-    return order, starts, js, fs, gen, (perms[:, reps] == reps).astype(float)
+    return order, slot, starts, js, fs, gen, (perms[:, reps] == reps).astype(float)
 
 
-def ground_state(h: np.ndarray) -> np.ndarray:
+def ground_state(h) -> np.ndarray:
     """Lowest eigenvector of a Hermitian matrix, phase-fixed.
 
-    h is solved per block of the abelian group made by the global spin flip
-    F (X^{(x)n}: basis index s to d-1-s), used when d is even and
-    h[::-1, ::-1] == h exactly, and the ring translation T (rotating the n
-    bits of s), used when d = 2**n, n > 1 and h commutes with T exactly.
-    The Ising ring and the cluster chain at eps == 0 have both. A matrix
-    with neither is eigensolved whole, in complex arithmetic: the Schwinger
-    chain, and the cluster chain at eps != 0, whose pinning field is summed
-    in another order on rotated entries, so it is T-invariant only to
-    rounding. For each character chi (momentum k, flip parity f) the block
-    over the orbits on whose stabilizer chi is trivial is
+    h is a hamiltonians.FlipSum, or a dense 2**n x 2**n matrix, which is
+    split into its 2**n mask columns first (FlipSum.from_dense). It is
+    solved per block of the abelian group made by the global spin flip F
+    (X^{(x)n}: basis index s to d-1-s), used when n > 0 and every column
+    equals itself reversed, and the ring translation T (rotating the n bits
+    of s), used when n > 1 and column rot f read at rot s equals column f
+    at s for every mask f. Both are decided exactly on the summed columns,
+    giving the booleans of the whole-matrix tests h[::-1, ::-1] == h and
+    T h T^dag == h with no d x d matrix. The Ising ring and the cluster
+    chain at eps == 0 have both. A matrix with neither is eigensolved whole
+    from h.dense(), in complex arithmetic: the Schwinger chain, and the
+    cluster chain at eps != 0, whose pinning field is summed in another
+    order on rotated entries, so it is T-invariant only to rounding. For
+    each character chi (momentum k, flip parity f) the block over the
+    orbits on whose stabilizer chi is trivial is
     B[r, r'] = sqrt(N_r' / N_r) sum_{s in orbit r} conj(chi(g_s)) h[s, r'],
     with r, r' orbit representatives, N their orbit sizes and g_s the group
-    element taking r to s: one row reduction of h[:, reps] over the orbits
-    (Sandvik, arXiv:1101.3281). Each block is checked and solved by herm_eig,
-    in real arithmetic when h has no imaginary part and chi is real (k = 0
-    or n/2). The k and n-k blocks of such a real h are complex conjugates
-    with one spectrum, so only k <= n/2 is solved. A flip-only matrix gives
-    the two sectors A +- B J (A, B the upper blocks of h, J reversing the
-    columns) bit for bit.
+    element taking r to s: one row reduction over the orbits of h[:, reps],
+    which is scattered from the columns' entries at the representatives
+    (Sandvik, arXiv:1101.3281, section 4). Each block is checked and solved
+    by herm_eig, in real arithmetic when h has no imaginary part and chi is
+    real (k = 0 or n/2). The k and n-k blocks of such a real h are complex
+    conjugates with one spectrum, so only k <= n/2 is solved. A flip-only
+    matrix gives the two sectors A +- B J (A, B the upper blocks of h, J
+    reversing the columns) bit for bit.
 
     Energies within GAP_TOL of each other go to the even flip parity first
     (the even-n Ising ring, near-degenerate at small field, has a flip-even
@@ -247,21 +270,21 @@ def ground_state(h: np.ndarray) -> np.ndarray:
     h's block counted too) are closer than GAP_TOL; the lowest-index
     eigenvector of the chosen block is still returned.
     """
-    h = linalg.as_matrix(h)
-    d = len(h)
-    n = d.bit_length() - 1
-    flip = _flip_symmetric(h)
-    shift = n > 1 and d == 1 << n and _shift_symmetric(h)
+    if not isinstance(h, FlipSum):
+        h = FlipSum.from_dense(h)
+    flip, shift = _flip_symmetric(h), _shift_symmetric(h)
     if not (flip or shift):
-        es = linalg.herm_eig(h)
+        es = linalg.herm_eig(h.dense())
         _check_gap(es.values)
         return es.vectors[:, 0].copy()
-    real = not h.imag.any()
-    if real:
-        h = h.real
-    order, starts, js, fs, gen, stab = _orbits(d, flip, shift)
+    real = not h.cols.imag.any()
+    values = h.cols.real if real else h.cols
+    n, d = h.n, 1 << h.n
+    order, slot, starts, js, fs, gen, stab = _orbits(d, flip, shift)
     sizes = np.diff(starts, append=d)
-    cols = h[np.ix_(order, order[starts])]
+    reps = order[starts]
+    cols = np.zeros((d, len(reps)), values.dtype)
+    cols[slot[reps ^ h.masks[:, None]], np.arange(len(reps))] = values[:, reps]
     parities = []
     for f in (1.0, -1.0)[: 1 + flip]:
         blocks = []

@@ -3,7 +3,7 @@
 No pipeline path calls any of these: they are independent routes to the
 quantities the package computes (the classical Fisher information from a
 dense projector stack, the SLD and fidelity QFI routes, the Uhlmann
-fidelity, a Lyapunov solver, dense Pauli strings, the dense optimal
+fidelity, a Lyapunov solver, dense Pauli strings and sums, the dense optimal
 projectors of the mixture model and a Haar search for better ones), plus
 one printed closed form that is known to be wrong (qfi_alpha_printed),
 pinned so that criterion 2 can show it disagrees with every oracle.
@@ -95,6 +95,18 @@ def pauli_matrix(ps: hamiltonians.PauliString) -> np.ndarray:
     lookup = dict(ps.letters)
     factors = [hamiltonians.PAULI[lookup.get(q, "I")] for q in range(1, ps.n + 1)]
     return ps.coeff * linalg.kron(factors)
+
+
+def pauli_sum_dense(strings) -> np.ndarray:
+    """Dense sum of Pauli strings, each added into its bit-flip mask's
+    entries of one d x d matrix, out[s ^ flip, s] += coeff * phase."""
+    n = strings[0].n
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    cols = np.arange(2**n)
+    for ps in strings:
+        flip, phase = hamiltonians._flip_and_phase(ps)
+        out[cols ^ flip, cols] += ps.coeff * phase
+    return out
 
 
 def _sqrt_spectrum(values: np.ndarray) -> np.ndarray:

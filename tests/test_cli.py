@@ -105,7 +105,7 @@ ORACLE_NAMES = {
         "qfi_alpha_printed", "f_divergence", "check_majorization", "MAJORIZATION_TOL",
         "OptimalityReport", "projector_optimality_oracle", "optimal_observable_matrix",
     ],
-    "hamiltonians": ["pauli_matrix"],
+    "hamiltonians": ["pauli_matrix", "pauli_sum_dense"],
 }
 
 
@@ -332,12 +332,21 @@ def test_naimark_mixture_items_share_their_noise_rows():
     ["analytic", "--n", "3", "--m", "1,3", "--r", "0.3", "--eval-points", "5"],
     ["mixture", "--n", "2", "--m", "1,2", "--layers", "1", "--train-points", "3",
      "--eval-points", "3", "--restarts", "1", "--max-iters", "3", "--seed", "4"],
+    # the qcnn ansatz: u3/cu3 gates and one-gate rzz phase steps
+    ["cluster", "--n", "4", "--m", "1,2", "--ansatz", "qcnn", "--restarts", "1",
+     "--max-iters", "2", "--train-points", "3", "--eval-points", "3"],
+    # an odd-n ground-state family through training and bound_chain
+    ["ising", "--n", "3", "--m", "1", "--layers", "1", "--restarts", "1", "--max-iters", "2",
+     "--train-points", "3", "--eval-points", "3"],
+    # even n: the real parity-sector solve and the even-sector choice
+    ["ising", "--n", "4", "--m", "1,2", "--layers", "1", "--restarts", "1", "--max-iters", "2",
+     "--train-points", "3", "--eval-points", "3"],
 ])
 def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path / "a")]) == 0
     assert main(["--config", str(tmp_path / "a_config.txt"), "--out", str(tmp_path / "b")]) == 0
     first = sorted(tmp_path.glob("a_*.csv"))
-    assert first
+    assert first and len(first) == len(list(tmp_path.glob("b_*.csv")))
     for path in first:
         assert path.read_bytes() == (tmp_path / path.name.replace("a_", "b_", 1)).read_bytes()
 

@@ -407,13 +407,13 @@ def test_bound_chain_qfi_matches_exact_ising_linear_response(n):
     # I_q = 4 sum_{k>0} |<v_k|dH/dh|v_0>|^2 / (E_k - E_0)^2, with dH/dh exact
     # since ising(n, h) is affine in h
     fam = StateFamily(lambda h: white_noise_ensemble(ground_state(ising(n, h))), (0.0, 2.5))
-    dh = ising(n, 1.0) - ising(n, 0.0)
+    dh = ising(n, 1.0).dense() - ising(n, 0.0).dense()
     rng = np.random.default_rng(5)
     c = qc.hea(n, 1)
     obs = ParamObservable(c, 1, rng.normal(size=2))
     theta = rng.uniform(0, 2 * np.pi, c.param_count)
     for h in (0.3, 0.7, 1.0, 1.7):
-        es = herm_eig(ising(n, h))
+        es = herm_eig(ising(n, h).dense())
         amp = es.vectors[:, 1:].conj().T @ (dh @ es.vectors[:, 0])
         iq = 4.0 * np.sum(np.abs(amp) ** 2 / (es.values[1:] - es.values[0]) ** 2)
         (rep,) = bound_chain(obs, theta, fam, [h], on_violation="flag")

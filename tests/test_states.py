@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -174,6 +175,29 @@ def test_ground_state_phase_and_warning():
         assert np.array_equal(states.ground_state(np.array([[2.5 + 0j]])), [1.0])
 
 
+@pytest.mark.parametrize("energies", [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+def test_degenerate_ground_space_warning_points_at_the_caller(energies):
+    # the first diagonal is flip- and translation-symmetric, so it is solved
+    # per block; the second has neither symmetry and is solved whole
+    h = np.diag(energies)
+    for ham in (h, hamiltonians.FlipSum.from_dense(h)):
+        with pytest.warns(states.DegenerateGroundSpaceWarning) as record:
+            states.ground_state(ham)
+        assert [w.filename for w in record] == [__file__]
+
+
+def test_ising10_ground_state_builds_no_dense_matrix():
+    # the dense n=10 matrix alone is 16 MB; the orbit tables are made afresh
+    states._orbits.cache_clear()
+    tracemalloc.start()
+    try:
+        states.ground_state(hamiltonians.ising(10, 0.7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_ground_state_leading_amplitude_positive():
     rng = np.random.default_rng(9)
     for trial in range(5):
@@ -189,10 +213,11 @@ def test_ground_state_leading_amplitude_positive():
 def test_ising_ground_state_solved_in_parity_sector(n):
     # the global flip maps s to d-1-s, so psi[::-1] is X^n psi
     for h in (0.05, 0.3, 1.0, 2.0):
-        ham = hamiltonians.ising(n, h)
+        form = hamiltonians.ising(n, h)
         with warnings.catch_warnings():
             warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
-            psi = states.ground_state(ham)
+            psi = states.ground_state(form)
+        ham = form.dense()
         assert abs(np.vdot(psi, psi[::-1]).real - (-1) ** n) < 1e-12
         energy = np.vdot(psi, ham @ psi).real
         assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
@@ -210,7 +235,7 @@ def test_cluster_ground_state_is_the_whole_matrix_solution():
     # the pinning field breaks the flip symmetry, so no sector split happens
     for n, x in itertools.product((6, 8), (-0.2, 0.0, 0.5, 1.0, 1.2)):
         ham = hamiltonians.cluster(n, x)
-        want = linalg.herm_eig(ham).vectors[:, 0]
+        want = linalg.herm_eig(ham.dense()).vectors[:, 0]
         assert states.ground_state(ham).tobytes() == want.tobytes()
 
 
@@ -246,7 +271,8 @@ def _assert_equal_up_to_phase(psi, want):
 
 
 def _oracle_hamiltonians():
-    # flip and translation: the Ising ring and the cluster ring at eps=0
+    # as FlipSum forms; flip and translation: the Ising ring and the cluster
+    # ring at eps=0
     for n, h in itertools.product(range(2, 11), (0.05, 0.3, 1.0, 2.0)):
         yield hamiltonians.ising(n, h)
     for n, x in itertools.product(range(3, 9), (0.0, 0.3, 0.7, 1.0, 1.2)):
@@ -257,8 +283,9 @@ def _oracle_hamiltonians():
         yield hamiltonians.cluster(3, x)
     # flip only: X on qubit 1 alone breaks the translation
     for n in (3, 4, 6):
-        yield hamiltonians.ising(n, 0.7) + hamiltonians.pauli_sum(
-            [hamiltonians.PauliString(n, {1: "X"}, coeff=0.4)]
+        yield hamiltonians.FlipSum.from_dense(
+            hamiltonians.ising(n, 0.7).dense()
+            + hamiltonians.pauli_sum([hamiltonians.PauliString(n, {1: "X"}, coeff=0.4)]).dense()
         )
 
 
@@ -270,12 +297,13 @@ def _tiled_width(seen, ham):
 
 def test_symmetry_blocks_match_the_whole_solve(monkeypatch):
     seen = _record_eig_inputs(monkeypatch)
-    for ham in _oracle_hamiltonians():
-        whole = np.linalg.eigh(ham.astype(complex))
+    for form in _oracle_hamiltonians():
+        ham = form.dense()
+        whole = np.linalg.eigh(ham)
         del seen[:]
         with warnings.catch_warnings():
             warnings.simplefilter("error", states.DegenerateGroundSpaceWarning)
-            psi = states.ground_state(ham)
+            psi = states.ground_state(form)
         # the widest n=10 Ising block has 56 rows
         assert len(seen) > 1 and _tiled_width(seen, ham) == len(ham)
         assert max(len(a) for a in seen) <= 64
@@ -297,36 +325,76 @@ def _whole_shift_symmetric(h, n):
     return np.array_equal(t.transpose(roll + [n + a for a in roll]), t)
 
 
+def _symmetries(form):
+    # the column checks, asserted to give the whole-matrix forms' booleans
+    got = (states._flip_symmetric(form), states._shift_symmetric(form))
+    ham = form.dense()
+    assert got == (_whole_flip_symmetric(ham), _whole_shift_symmetric(ham, form.n))
+    return got
+
+
+def _edited(form, masks=None, cols=None):
+    return hamiltonians.FlipSum(
+        form.n, form.masks if masks is None else masks, form.cols if cols is None else cols
+    )
+
+
 def test_symmetry_checks_match_the_whole_matrix_forms():
-    # the half-matrix flip check and the one-bit-rotation translation check
-    # give the booleans of the whole-matrix forms on every builder
-    hams = [hamiltonians.ising(n, h) for n in range(2, 11) for h in (0.05, 0.7)]
+    # the column checks on every builder's form, and on the same matrix
+    # split into all its 2**n columns, give the booleans of the whole-matrix
+    # forms
+    forms = [hamiltonians.ising(n, h) for n in range(2, 11) for h in (0.05, 0.7)]
     for eps in (0.0, 1e-2):
-        hams += [hamiltonians.cluster(n, x, eps) for n in range(3, 9) for x in (0.0, 0.3, 1.0)]
-    hams += [hamiltonians.schwinger(n, mu) for n in (2, 4, 6, 8) for mu in (-0.5, 0.0, 1.0)]
-    hams += list(_oracle_hamiltonians())
+        forms += [hamiltonians.cluster(n, x, eps) for n in range(3, 9) for x in (0.0, 0.3, 1.0)]
+    forms += [hamiltonians.schwinger(n, mu) for n in range(2, 11, 2) for mu in (-0.5, 0.0, 1.0)]
+    forms += list(_oracle_hamiltonians())
     seen = set()
-    for ham in hams:
-        n = len(ham).bit_length() - 1
-        got = (states._flip_symmetric(ham), states._shift_symmetric(ham))
-        assert got == (_whole_flip_symmetric(ham), _whole_shift_symmetric(ham, n))
+    for form in forms:
+        got = _symmetries(form)
+        assert _symmetries(hamiltonians.FlipSum.from_dense(form.dense())) == got
         seen.add(got)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_symmetry_checks_reject_perturbed_forms():
+    n = 4
+    form = hamiltonians.ising(n, 0.7)  # masks 0 (the bonds) and one per X_i
+    assert _symmetries(form) == (True, True)
+    # one entry changed
+    cols = form.cols.copy()
+    cols[1, 3] += 1e-15
+    assert _symmetries(_edited(form, cols=cols)) == (False, False)
+    # one mask dropped: its orbit's other masks lose their images under T;
+    # the flip keeps every mask, so it still holds
+    assert _symmetries(_edited(form, form.masks[:-1], form.cols[:-1])) == (True, False)
+    # one mask added whose rotation is missing (0b0011 -> 0b0110): a nonzero
+    # column breaks T, an all-zero one does not
+    masks = np.append(form.masks, 0b0011)
+    for value, want in ((0.25, (True, False)), (0.0, (True, True))):
+        cols = np.vstack([form.cols, np.full(2**n, value, dtype=complex)])
+        assert _symmetries(_edited(form, masks, cols)) == want
+    # a NaN compares unequal to itself
+    cols = form.cols.copy()
+    cols[0, 0] = np.nan
+    assert _symmetries(_edited(form, cols=cols)) == (False, False)
+    cols = np.vstack([form.cols, np.zeros(2**n, dtype=complex)])
+    cols[-1, 5] = np.nan
+    assert _symmetries(_edited(form, masks, cols)) == (False, False)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 10])
 def test_ising_real_sector_solve_matches_complex_sector_solve(n, monkeypatch):
     seen = _record_eig_inputs(monkeypatch)
     for h in (0.05, 0.3, 1.0, 2.0):
-        ham = hamiltonians.ising(n, h)
+        form = hamiltonians.ising(n, h)
         del seen[:]
-        psi = states.ground_state(ham)
+        psi = states.ground_state(form)
         # k = 0..n//2 per flip parity; the k = 0 and k = n/2 blocks have real
         # characters and run real, the others complex
         assert len(seen) == 2 * (n // 2 + 1)
         assert sum(a.dtype == np.float64 for a in seen) == (2 if n % 2 else 4)
         assert psi.dtype == np.complex128
-        _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham))
+        _assert_equal_up_to_phase(psi, _complex_sector_ground_state(form.dense()))
 
 
 _ISING_DIGEST = """
@@ -360,10 +428,11 @@ def test_flip_symmetric_matrix_without_reflection_is_solved_per_sector(monkeypat
     for i in range(1, n + 1):
         terms.append(hamiltonians.PauliString(n, {i: "Z", i % n + 1: "Z"}))
         terms.append(hamiltonians.PauliString(n, {i: "X"}, coeff=0.7))
-    ham = hamiltonians.pauli_sum(terms)
+    form = hamiltonians.pauli_sum(terms)
+    ham = form.dense()
     assert np.array_equal(ham[::-1, ::-1], ham)
     seen = _record_eig_inputs(monkeypatch)
-    psi = states.ground_state(ham)
+    psi = states.ground_state(form)
     assert [len(a) for a in seen] == [2 ** (n - 1)] * 2
     _assert_equal_up_to_phase(psi, _complex_sector_ground_state(ham))
 
@@ -417,7 +486,7 @@ def test_nan_matrix_is_not_hermitian():
 
 
 def test_flip_symmetric_non_hermitian_matrix_raises():
-    ham = hamiltonians.ising(4, 0.7)
+    ham = hamiltonians.ising(4, 0.7).dense()
     d = len(ham)
     t = _translation_matrix(4)
     for bump in (1e-6, 1e-6j):
@@ -444,10 +513,11 @@ def test_flip_symmetric_complex_hamiltonian_stays_complex(monkeypatch):
     for i in range(1, n + 1):
         terms.append(hamiltonians.PauliString(n, {i: "Z", i % n + 1: "Z"}))
         terms.append(hamiltonians.PauliString(n, {i: "X"}, coeff=0.7))
-    ham = hamiltonians.pauli_sum(terms)
+    form = hamiltonians.pauli_sum(terms)
+    ham = form.dense()
     assert ham.imag.any() and np.array_equal(ham[::-1, ::-1], ham)
     seen = _record_eig_inputs(monkeypatch)
-    psi = states.ground_state(ham)
+    psi = states.ground_state(form)
     assert [a.dtype for a in seen] == [np.complex128, np.complex128]
     energy = np.vdot(psi, ham @ psi).real
     assert abs(energy - np.linalg.eigvalsh(ham)[0]) < 1e-10
