@@ -179,9 +179,9 @@ def _flip_symmetric(h: FlipSum) -> bool:
     return h.n > 0 and np.array_equal(h.cols[:, ::-1], h.cols)
 
 
-def _rotl(s: np.ndarray, n: int) -> np.ndarray:
-    """The n-bit indices s rotated left one bit, the ring translation T."""
-    return ((s << 1) | (s >> (n - 1))) & ((1 << n) - 1)
+def _rotl(s: np.ndarray, n: int, j=1) -> np.ndarray:
+    """The n-bit indices s rotated left j bits, T^j for the ring translation T."""
+    return ((s << j) | (s >> (n - j))) & ((1 << n) - 1)
 
 
 def _shift_symmetric(h: FlipSum) -> bool:
@@ -216,7 +216,7 @@ def _orbits(d: int, flip: bool, shift: bool):
     n = d.bit_length() - 1
     s = np.arange(d)
     js = np.arange(n if shift else 1)
-    rot = ((s << js[:, None]) | (s >> (n - js[:, None]))) & (d - 1) if shift else s[None, :]
+    rot = _rotl(s, n, js[:, None]) if shift else s[None, :]
     perms = np.concatenate([rot, d - 1 - rot]) if flip else rot
     js, fs = np.tile(js, 1 + flip), np.repeat(np.arange(1 + flip), len(js))
     rep = perms.min(axis=0)
