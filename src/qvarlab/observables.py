@@ -80,17 +80,22 @@ def as_ensemble(state) -> Ensemble:
     return check_ensemble(white_noise_ensemble(state))
 
 
+def outcome_marginals(rows: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(R, 2**m) outcome marginals of evolved rows (R, 2**n): each row's |amplitude|^2
+    summed over the unmeasured bits, written into out when it is given."""
+    r, d = rows.shape
+    return (np.abs(rows) ** 2).reshape(r, d // 2**m, 2**m).sum(axis=1, out=out)
+
+
 def ensemble_outcomes(rows: np.ndarray, weights: np.ndarray, noise, m: int) -> np.ndarray:
-    """weights @ (outcome marginals of the evolved rows) + noise / 2**m.
+    """weights @ outcome_marginals(rows, m) + noise / 2**m.
 
     rows holds evolved ensemble rows (R, 2**n); weights is (R,) for one state
     or (B, R) for a batch of states, with noise a scalar or (B, 1) to match.
     White noise stays white under the circuit, so it spreads evenly over the
     outcomes.
     """
-    r, d = rows.shape
-    marginals = (np.abs(rows) ** 2).reshape(r, d // 2**m, 2**m).sum(axis=1)
-    return weights @ marginals + noise / 2**m
+    return weights @ outcome_marginals(rows, m) + noise / 2**m
 
 
 def probabilities(obs: ParamObservable, theta: np.ndarray, state) -> np.ndarray:

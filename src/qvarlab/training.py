@@ -13,7 +13,12 @@ building each circuit step's operator (circuits.Circuit.steps) once per theta,
 so that a probe rebuilds only the steps reading the shifted slot. Both are
 bitwise identical to a full re-evaluation, since the reused prefix and
 operators are the same floats either way. A probe of a slot inside a diagonal
-run resumes from the state before the run.
+run resumes from the state before the run. Each probe's evolved rows are
+reduced at once to their outcome marginals, which fill a table of at most
+PROBE_BLOCK_BYTES; each full table is turned into the items' distributions
+and scored by the objective in one stacked pass. The objectives reduce only
+their trailing (items, outcomes) axes, so every probe scores the bits that a
+call on its own distribution would.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from .circuits import Circuit, apply_circuit, apply_circuit_trace, step_operator
 from .fisher import StateFamily
-from .observables import ensemble_outcomes, moments
+from .observables import moments, outcome_marginals
 from .states import LabeledState
 
 ARMIJO_C1 = 1e-4
@@ -33,6 +38,9 @@ CURVATURE_FLOOR = 1e-10
 WARMUP_MAX_ITERS = 200
 GRAD_STEP = 1e-5
 CONV_TOL = 1e-7
+# probe table plus its stacked distributions per chunk of a gradient; the
+# mix5-train and cluster8 gradients fit in one chunk
+PROBE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,12 @@ class _Engine:
     over the outcomes, since U I U^dag = I. The per-gate snapshot trace and
     the step operators of the last full evaluation are kept, keyed by theta,
     so that finite-difference probes resume from the first gate an angle
-    touches and rebuild only the operators of the steps that read it.
+    touches and rebuild only the operators of the steps that read it. A probe
+    yields only its rows' marginals (marginals_shift); probs_from_marginals
+    turns a stack of them into distributions, the one route of the full
+    evaluation and the probes alike. probe_bytes is what one probe holds while
+    its chunk is scored: its marginals, its distributions and one temporary
+    of their size.
     """
 
     def __init__(self, circuit: Circuit, m: int, trainset: TrainSet):
@@ -148,6 +161,7 @@ class _Engine:
             for w, row in zip(e.weights, e.rows):
                 self.mix[i, index[row.tobytes()]] += w
         self.noise = np.array([[e.noise] for e in parts])
+        self.probe_bytes = (len(self.batch0) + 2 * len(parts)) * 2**m * self.mix.itemsize
         readers = [[] for _ in range(circuit.param_count)]
         step_of = [i for i, (lo, hi, *_) in enumerate(circuit.steps) for _ in range(lo, hi)]
         for k, g in enumerate(circuit.gates):
@@ -163,9 +177,12 @@ class _Engine:
         self._ops = None
         self._trace = None
 
-    def _probs_from_batch(self, batch: np.ndarray) -> np.ndarray:
-        p = ensemble_outcomes(batch, self.mix, self.noise, self.m)
-        return np.clip(p, 0.0, None)
+    def probs_from_marginals(self, marginals: np.ndarray) -> np.ndarray:
+        """Items' distributions (..., items, 2**m) from row marginals (..., rows, 2**m):
+        the mix weights, the noise spread evenly over the outcomes, the clip at 0."""
+        p = self.mix @ marginals
+        p += self.noise / 2**self.m
+        return np.clip(p, 0.0, None, out=p)
 
     def probs(self, theta: np.ndarray) -> np.ndarray:
         """Full evaluation; refreshes the step operators and the snapshot trace."""
@@ -174,13 +191,14 @@ class _Engine:
         self._ops = [step_operator(self.circuit, i, theta) for i in range(len(self.circuit.steps))]
         self._trace = apply_circuit_trace(self.circuit, theta, self.batch0, ops=self._ops)
         self._theta = np.array(theta, copy=True)
-        return self._probs_from_batch(self._trace[-1])
+        return self.probs_from_marginals(outcome_marginals(self._trace[-1], self.m))
 
-    def probs_shift(self, slot: int, value: float) -> np.ndarray:
-        """Probabilities with one angle replaced, resuming from the cache.
+    def marginals_shift(self, slot: int, value: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Row marginals (rows, 2**m) with one angle replaced, resuming from the cache.
 
         Only the operators of the steps reading the slot are rebuilt; every
-        other step reuses the operator of the last full evaluation.
+        other step reuses the operator of the last full evaluation. The
+        marginals are written into out when it is given.
         """
         start = self.first_gate[slot]
         theta = np.array(self._theta, copy=True)
@@ -189,34 +207,42 @@ class _Engine:
         for i in self.slot_steps[slot]:
             ops[i] = step_operator(self.circuit, i, theta)
         batch = apply_circuit(self.circuit, theta, self._trace[start], start=start, ops=ops)
-        return self._probs_from_batch(batch)
+        return outcome_marginals(batch, self.m, out=out)
 
 
-def _loss_terms(
-    probs: np.ndarray, labels: np.ndarray, lambdas: np.ndarray, config: TrainConfig
-) -> float:
+def _loss_terms(probs: np.ndarray, labels: np.ndarray, lambdas: np.ndarray, config: TrainConfig):
+    """The objective of each distribution in probs (..., items, outcomes)."""
     pred, var = moments(probs, lambdas)
-    ls = np.sum((labels - pred) ** 2)
-    return float(config.w_ls * ls + config.w_var * np.sum(var))
+    ls = np.sum((labels - pred) ** 2, axis=-1)
+    return config.w_ls * ls + config.w_var * np.sum(var, axis=-1)
 
 
 def _engine_loss(engine, lambdas, theta, config) -> float:
-    return _loss_terms(engine.probs(theta), engine.labels, lambdas, config)
+    return float(_loss_terms(engine.probs(theta), engine.labels, lambdas, config))
 
 
 def _theta_gradient(engine, theta, objective) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities at theta and the central-FD theta gradient of objective(probs).
 
-    One full evaluation at theta, then two probes per component, each
-    resuming from the cached snapshot before the first gate reading that slot.
+    One full evaluation at theta, then two probes per component (theta[s] + h,
+    then theta[s] - h), each resuming from the cached snapshot before the
+    first gate reading that slot. The probes' marginals fill a table of at
+    most PROBE_BLOCK_BYTES // engine.probe_bytes probes, and at least one;
+    each full table goes through probs_from_marginals and objective once.
+    objective maps (..., items, outcomes) to (...).
     """
     h = GRAD_STEP
     p0 = engine.probs(theta)
-    grad = np.empty(len(theta))
-    for s in range(len(theta)):
-        fp = objective(engine.probs_shift(s, theta[s] + h))
-        fm = objective(engine.probs_shift(s, theta[s] - h))
-        grad[s] = (fp - fm) / (2.0 * h)
+    probes = [(s, v) for s in range(len(theta)) for v in (theta[s] + h, theta[s] - h)]
+    values = np.empty(len(probes))
+    size = max(1, PROBE_BLOCK_BYTES // engine.probe_bytes)
+    table = np.empty((min(size, len(probes)), len(engine.batch0), 2**engine.m))
+    for lo in range(0, len(probes), size):
+        block = table[: len(probes) - lo]
+        for out, (s, v) in zip(block, probes[lo:]):
+            engine.marginals_shift(s, v, out=out)
+        values[lo : lo + len(block)] = objective(engine.probs_from_marginals(block))
+    grad = (values[0::2] - values[1::2]) / (2.0 * h)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite objective encountered during gradient")
     return p0, grad
@@ -336,15 +362,17 @@ def _quasi_newton(f, g, x0, config, max_iters=None):
     return x, history, bool(converged)
 
 
-def _spread(probs: np.ndarray) -> float:
-    """Negative total spread of the outcome distributions around their mean.
+def _spread(probs: np.ndarray):
+    """Negative total spread of the outcome distributions around their mean,
+    for each stack in probs (..., items, outcomes).
 
     Minimizing this pushes the training states' readout distributions apart,
     which concentrates the label-dependent part of the state onto as few
     measurement sectors as possible.
     """
-    centered = probs - probs.mean(axis=0)
-    return -float(np.sum(centered * centered))
+    centered = probs - probs.mean(axis=-2, keepdims=True)
+    centered *= centered
+    return -np.sum(centered.reshape(*probs.shape[:-2], -1), axis=-1)
 
 
 def _warmup_theta(engine, th0, config) -> np.ndarray:
@@ -358,7 +386,7 @@ def _warmup_theta(engine, th0, config) -> np.ndarray:
     """
 
     def f(th):
-        return _spread(engine.probs(th))
+        return float(_spread(engine.probs(th)))
 
     def g(th):
         return _theta_gradient(engine, th, _spread)[1]

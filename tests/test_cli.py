@@ -79,15 +79,32 @@ def test_analytic_rerun_is_byte_identical(tmp_path):
         assert open(p, "rb").read() == blobs[p]
 
 
+def _module_env(**overrides):
+    """The environment of a child that imports this checkout's qvarlab."""
+    src = str(Path(qvarlab.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _module_run(argv, threads=None):
+    """`python -m qvarlab.cli argv` in a child; threads sets its BLAS thread
+    count before numpy loads."""
+    env = _module_env() if threads is None else _module_env(
+        OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qvarlab.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_route_runs_without_runtime_warning(tmp_path):
     # `python -m qvarlab.cli` warns if importing the package loaded cli already
-    src = str(Path(qvarlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["analytic", "--n", "2", "--m", "1", "--eval-points", "3", "--out", str(tmp_path / "a")]
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "qvarlab.cli", *argv],
-        env=env,
+        env=_module_env(),
         capture_output=True,
         text=True,
     )
@@ -118,12 +135,9 @@ def test_import_qvarlab_exposes_no_test_oracle():
         "         for n in names if hasattr(operator.attrgetter(owner)(qvarlab), n)]\n"
         "print(json.dumps([found, sorted(qvarlab.__all__)]))\n"
     )
-    src = str(Path(qvarlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(ORACLE_NAMES)],
-        env=env,
+        env=_module_env(),
         capture_output=True,
         text=True,
     )
@@ -341,10 +355,28 @@ def test_naimark_mixture_items_share_their_noise_rows():
     # even n: the real parity-sector solve and the even-sector choice
     ["ising", "--n", "4", "--m", "1,2", "--layers", "1", "--restarts", "1", "--max-iters", "2",
      "--train-points", "3", "--eval-points", "3"],
+    ["analytic", "--n", "3", "--m", "1,2", "--eval-points", "5"],
+    ["mixture", "--n", "2", "--m", "1", "--layers", "1", "--restarts", "1", "--max-iters", "2",
+     "--train-points", "3", "--eval-points", "3"],
+    # no benchmark workload runs bound_chain on mixed states: the span QFI
+    # and the ensemble outcome probabilities of the mixture's two rows
+    ["mixture", "--n", "8", "--m", "3", "--layers", "1", "--restarts", "1", "--max-iters", "1",
+     "--train-points", "3", "--eval-points", "3"],
+    # a Naimark mixture: the embedded signal rows and the shared noise rows
+    # e_j x |0>
+    ["mixture", "--n", "2", "--naimark", "1", "--layers", "1", "--restarts", "1",
+     "--max-iters", "2", "--train-points", "3", "--eval-points", "3"],
+    # a pure item through the same embedding: one row psi x |00>, kept pure
+    ["ising", "--n", "3", "--naimark", "2", "--layers", "1", "--restarts", "1",
+     "--max-iters", "2", "--train-points", "3", "--eval-points", "3"],
+    # no benchmark workload runs the hva sum gates
+    ["cluster", "--n", "6", "--m", "1", "--ansatz", "hva", "--layers", "1", "--restarts", "1",
+     "--max-iters", "2", "--train-points", "3", "--eval-points", "3"],
 ])
 def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
-    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
-    assert main(["--config", str(tmp_path / "a_config.txt"), "--out", str(tmp_path / "b")]) == 0
+    # both runs go through `python -m qvarlab.cli`, as a user would run them
+    _module_run([*argv, "--out", str(tmp_path / "a")])
+    _module_run(["--config", str(tmp_path / "a_config.txt"), "--out", str(tmp_path / "b")])
     first = sorted(tmp_path.glob("a_*.csv"))
     assert first and len(first) == len(list(tmp_path.glob("b_*.csv")))
     for path in first:
@@ -356,29 +388,24 @@ def test_sidecar_replays_to_identical_csvs(tmp_path, argv):
      "--eval-points", "9", "--seed", "5"],
     ["mixture", "--n", "4", "--m", "1,3", "--restarts", "1", "--max-iters", "10",
      "--eval-points", "9", "--seed", "5"],
-    ["ising", "--n", "10", "--m", "1,3", "--layers", "1", "--restarts", "1", "--max-iters", "2",
-     "--train-points", "3", "--eval-points", "5", "--seed", "6"],
+    # n=10: ground states in momentum x flip blocks of at most 56 rows, whose
+    # eigensolves round alike at any BLAS thread count, a unitary evolved in
+    # 16 row blocks, and bound_chain's stencil on its worker threads over
+    # one-projector blocks: 2, 8 and 32 of them (m=5 would be a 512 MB stack)
+    ["ising", "--n", "10", "--m", "1,3,5", "--layers", "1", "--restarts", "1",
+     "--max-iters", "1", "--train-points", "3", "--eval-points", "3"],
 ], ids=["ising", "mixture", "ising10"])
 def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # the thread count is set in the child's environment only, before numpy
-    # loads its BLAS
-    src = str(Path(qvarlab.__file__).resolve().parents[1])
-    csvs = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"t{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qvarlab.cli", *argv, "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        csvs[threads] = {
-            p.name[len(out.name):]: p.read_bytes() for p in tmp_path.glob(f"{out.name}_m*.csv")
-        }
-    assert len(csvs["1"]) == 2 and csvs["1"] == csvs["2"]
+    # loads its BLAS. The two-thread run replays the one-thread run's
+    # sidecar, so the one comparison also checks the replay
+    _module_run([*argv, "--out", str(tmp_path / "t1")], threads="1")
+    _module_run(["--config", str(tmp_path / "t1_config.txt"), "--out", str(tmp_path / "t2")],
+                threads="2")
+    csvs = [{p.name[2:]: p.read_bytes() for p in tmp_path.glob(f"{out}_m*.csv")}
+            for out in ("t1", "t2")]
+    assert len(csvs[0]) == len(cli._parse_m(argv[argv.index("--m") + 1]))
+    assert csvs[0] == csvs[1]
 
 
 def test_sidecar_replay_keeps_an_out_path_holding_a_hash(tmp_path):

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qvarlab import circuits as qc
+from qvarlab import cli
 from qvarlab import observables as obs_mod
+from qvarlab import training
 from qvarlab.mixture import MixtureModel, variance_partial
 from qvarlab.observables import ParamObservable
-from qvarlab.observables import ensemble_outcomes
+from qvarlab.observables import ensemble_outcomes, outcome_marginals
 from qvarlab.states import LabeledState, white_noise_ensemble
 from qvarlab.training import (
     _Engine,
     _spread,
     _theta_gradient,
     GRAD_STEP,
+    PROBE_BLOCK_BYTES,
     TrainConfig,
     TrainSet,
     gradient,
@@ -204,9 +209,23 @@ def _naive_gradient(lam, theta, ts, cfg, circuit, m):
     return np.concatenate([out, grad_theta])
 
 
+def _mix5_trainset():
+    # the mix5-train benchmark's train set: ten labels on the n=5 mixture
+    return make_trainset(MixtureModel(n=5, r=0.25).family(), 10, 0.0, 1.0)
+
+
+def _cluster8_trainset():
+    # the n=8 cluster train set of `qvarlab cluster --n 8 --train-points 10`
+    family = cli.FAMILY_BUILDERS["cluster"](cli.ExperimentConfig("cluster", n=8))
+    return make_trainset(family, 10, *cli.LABEL_RANGES["cluster"])
+
+
 def test_gradient_bitwise_matches_naive_probes():
-    # the snapshot cache must not change a single bit of the FD gradient of
-    # either objective: the loss and the warmup spread
+    # neither the snapshot cache nor the stacked scoring of the probes may
+    # change a single bit of the FD gradient of either objective (the loss
+    # and the warmup spread): on small sets, and at the shapes the pipeline
+    # trains, hea(5, 5) m=3 on the n=5 mixture (mix5-train) and qcnn(8) m=1 on
+    # the n=8 cluster train set (the strict xfail's run)
     rng = np.random.default_rng(21)
     cfg = TrainConfig(w_var=0.3)
     fam = MixtureModel(2, 0.25).family()
@@ -217,22 +236,80 @@ def test_gradient_bitwise_matches_naive_probes():
             for a in (0.2, 0.7, 1.1)
         )
     )
-    c = qc.hea(2, 2)
-    for ts in (mixed_ts, pure_ts):
+    cases = [
+        (qc.hea(2, 2), 1, mixed_ts),
+        (qc.hea(2, 2), 1, pure_ts),
+        (qc.hea(5, 5), 3, _mix5_trainset()),
+        (qc.qcnn(8), 1, _cluster8_trainset()),
+    ]
+    for c, m, ts in cases:
         theta = rng.uniform(0, 2 * np.pi, c.param_count)
-        lam = rng.normal(size=2)
-        fast = gradient(lam, theta, ts, cfg, c, 1)
-        slow = _naive_gradient(lam, theta, ts, cfg, c, 1)
+        lam = rng.normal(size=2**m)
+        fast = gradient(lam, theta, ts, cfg, c, m)
+        slow = _naive_gradient(lam, theta, ts, cfg, c, m)
         assert np.array_equal(fast, slow)
-        _, fast = _theta_gradient(_Engine(c, 1, ts), theta, _spread)
-        slow = _naive_theta_gradient(lambda th: _spread(_Engine(c, 1, ts).probs(th)), theta)
+        _, fast = _theta_gradient(_Engine(c, m, ts), theta, _spread)
+        slow = _naive_theta_gradient(lambda th: _spread(_Engine(c, m, ts).probs(th)), theta)
         assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_gradient_does_not_depend_on_the_probe_chunk(monkeypatch, per_chunk):
+    # mix5-train's 140 probes are one chunk by default; chunks of one probe,
+    # or of seven with a short last one, score the same bits
+    rng = np.random.default_rng(23)
+    ts = _mix5_trainset()
+    c = qc.hea(5, 5)
+    theta = rng.uniform(0, 2 * np.pi, c.param_count)
+    lam = rng.normal(size=8)
+    cfg = TrainConfig(w_var=0.3)
+    engine = _Engine(c, 3, ts)
+    assert PROBE_BLOCK_BYTES // engine.probe_bytes >= 2 * c.param_count
+    want = gradient(lam, theta, ts, cfg, c, 3), _theta_gradient(engine, theta, _spread)[1]
+    chunks = []
+    real = _Engine.probs_from_marginals
+    monkeypatch.setattr(
+        _Engine, "probs_from_marginals", lambda e, mg: chunks.append(mg.shape[:-2]) or real(e, mg)
+    )
+    monkeypatch.setattr(training, "PROBE_BLOCK_BYTES", per_chunk * engine.probe_bytes)
+    got = gradient(lam, theta, ts, cfg, c, 3), _theta_gradient(engine, theta, _spread)[1]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # each gradient: the full evaluation, then its chunks in order
+    probes = [(per_chunk,)] * (140 // per_chunk) + [(140 % per_chunk,)] * (140 % per_chunk > 0)
+    assert chunks == 2 * ([()] + probes)
+
+
+def test_gradient_holds_one_probe_chunk():
+    # hea(10, 1) with m=9 on ten pure rows: 58 probes of (10 rows x 512
+    # outcomes) marginals, with their distributions and the spread's
+    # temporary 7.1 MB if stacked whole. Beside the snapshot trace the
+    # gradient holds one chunk of at most PROBE_BLOCK_BYTES, plus a margin
+    # for the step operators, one probe's evolved batch and its copies
+    margin = 2 * 2**20
+    rng = np.random.default_rng(43)
+    rows = rng.normal(size=(10, 1024)) + 1j * rng.normal(size=(10, 1024))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    ts = TrainSet(tuple(LabeledState(0.1 * k, white_noise_ensemble(r)) for k, r in enumerate(rows)))
+    c = qc.hea(10, 1)
+    engine = _Engine(c, 9, ts)
+    assert 2 * c.param_count * engine.probe_bytes > PROBE_BLOCK_BYTES + 2 * margin
+    theta = rng.uniform(0, 2 * np.pi, c.param_count)
+    tracemalloc.start()
+    try:
+        _theta_gradient(engine, theta, _spread)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace = sum({id(a): a.nbytes for a in engine._trace}.values())
+    assert peak < trace + PROBE_BLOCK_BYTES + margin
 
 
 @pytest.mark.parametrize("circuit", [qc.hea(4, 2), qc.qcnn(8), qc.hva_cluster(6, 2)])
-def test_probs_shift_bitwise_matches_full_evaluation(circuit):
-    # probs_shift rebuilds only the operators of the steps reading the slot;
-    # qcnn shares slots within a level and its u3/cu3 gates read three
+def test_marginals_shift_bitwise_matches_full_evaluation(circuit):
+    # marginals_shift rebuilds only the operators of the steps reading the
+    # slot; qcnn shares slots within a level and its u3/cu3 gates read three.
+    # A probe's marginals, written into a table row as the gradient does, and
+    # its distributions equal those of a fresh full evaluation
     rng = np.random.default_rng(29)
     d = 2**circuit.n
     rows = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
@@ -244,11 +321,14 @@ def test_probs_shift_bitwise_matches_full_evaluation(circuit):
     fresh = _Engine(circuit, 1, ts)
     theta = rng.uniform(0, 2 * np.pi, circuit.param_count)
     engine.probs(theta)
+    table = np.empty((2, 3, 2))
     for slot in range(circuit.param_count):
         shifted = np.array(theta, copy=True)
         shifted[slot] += 1e-5
-        got = engine.probs_shift(slot, shifted[slot])
-        assert got.tobytes() == fresh.probs(shifted).tobytes()
+        engine.marginals_shift(slot, shifted[slot], out=table[1])
+        want = fresh.probs(shifted)
+        assert table[1].tobytes() == outcome_marginals(fresh._trace[-1], 1).tobytes()
+        assert engine.probs_from_marginals(table)[1].tobytes() == want.tobytes()
 
 
 def test_engine_builds_no_matrix_for_a_diagonal_gate(monkeypatch):
@@ -267,7 +347,7 @@ def test_engine_builds_no_matrix_for_a_diagonal_gate(monkeypatch):
     built.clear()
     for slot in range(c.param_count):
         if c.gates[slot].name != "rx":  # hea's slot s is read by gate s alone
-            engine.probs_shift(slot, 0.1)
+            engine.marginals_shift(slot, 0.1)
     assert built == []
 
 
